@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 from typing import Hashable
 
 __all__ = [
@@ -23,61 +24,18 @@ __all__ = [
 ]
 
 
-def _osa_distance(a: Sequence[Hashable], b: Sequence[Hashable], cutoff: int | None) -> int:
-    """OSA distance DP with optional early abandon at ``cutoff``.
+@lru_cache(maxsize=4096)
+def _match_masks(pattern: tuple[Hashable, ...]) -> dict[Hashable, int]:
+    """Per-symbol bitmask of the positions where ``pattern`` holds it.
 
-    Returns the exact distance when it is < ``cutoff`` (or ``cutoff`` is
-    None); otherwise returns ``cutoff`` as soon as the distance is provably
-    at least that large.  The inner loop carries the left/diagonal cells in
-    locals — it runs millions of times per identification batch.
+    Keyed by content, so a reference sequence's masks are built once and
+    can never go stale when types are enrolled or retired.  The returned
+    dict is shared between callers and must not be mutated.
     """
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    if cutoff is not None and abs(n - m) >= cutoff:
-        return cutoff  # distance ≥ |n - m| ≥ cutoff: abandon before the DP
-    previous2 = [0] * (m + 1)
-    previous = list(range(m + 1))
-    prev_min = 0
-    a_prev: Hashable = None
-    for i in range(1, n + 1):
-        ai = a[i - 1]
-        current = [0] * (m + 1)
-        current[0] = left = row_min = i
-        diag = i - 1  # previous[0]
-        b_prev: Hashable = None
-        for j in range(1, m + 1):
-            bj = b[j - 1]
-            above = previous[j]
-            value = diag if ai == bj else diag + 1  # substitution / match
-            insertion = left + 1
-            if insertion < value:
-                value = insertion
-            deletion = above + 1
-            if deletion < value:
-                value = deletion
-            if i > 1 and j > 1 and ai == b_prev and a_prev == bj:
-                transposition = previous2[j - 2] + 1
-                if transposition < value:
-                    value = transposition
-            current[j] = left = value
-            diag = above
-            if value < row_min:
-                row_min = value
-            b_prev = bj
-        # Any alignment path visits at least one of two consecutive DP rows
-        # (a transposition skips at most one) and cell values along a path
-        # never decrease, so once both row minima reach the cutoff the final
-        # distance cannot come in below it.
-        if cutoff is not None and row_min >= cutoff and prev_min >= cutoff:
-            return cutoff
-        prev_min = row_min
-        previous2 = previous
-        previous = current
-        a_prev = ai
-    return previous[m]
+    masks: dict[Hashable, int] = {}
+    for position, symbol in enumerate(pattern):
+        masks[symbol] = masks.get(symbol, 0) | (1 << position)
+    return masks
 
 
 def damerau_levenshtein(
@@ -85,33 +43,40 @@ def damerau_levenshtein(
 ) -> int:
     """Restricted Damerau–Levenshtein (OSA) distance between two sequences.
 
-    With ``cutoff`` set, computation may stop early once the distance is
-    provably ≥ ``cutoff``; the return value is then some integer in
-    ``[cutoff, true distance]``.  Whenever the true distance is *below*
-    ``cutoff`` the exact value is returned, so callers that only care
-    about "is it closer than my current best?" get the exact answer in
-    the cases that matter and a cheap certificate otherwise.
+    With ``cutoff`` set, the result is guaranteed exact only when the true
+    distance is *below* ``cutoff`` and otherwise lies in ``[cutoff, true
+    distance]``, so callers asking "is it closer than my current best?"
+    get the exact answer in the cases that matter.  The value computed is
+    always exact, which meets that contract.
 
-    Without ``cutoff`` the result is always exact, computed by iterative
-    deepening (doubling an internal abandon threshold): similar sequences
-    — the common case for a fingerprint against its own type's references
-    — cost O(d·m) for true distance ``d`` instead of O(n·m).
+    Hyyrö's bit-vector algorithm (2003): the DP column for a prefix of
+    ``a`` against every prefix of ``b`` is held as vertical +1/-1 deltas in
+    ``vp``/``vn``, one bit per symbol of ``b`` — Python's unbounded ints
+    make any length one word.  Each symbol of ``a`` advances the column
+    with about twenty int operations, ``tr`` adding the transposition
+    diagonal.  Bits above ``len(b)`` only carry or shift upwards, so they
+    never disturb the column; masking keeps them from piling up.  The
+    final column's top cell (``b`` empty) is ``len(a)`` and its deltas sum
+    to the distance.  ``b``'s match masks are cached by content, so pass
+    the sequence that repeats across calls (a reference) as ``b``.
     """
-    if cutoff is not None:
-        if cutoff < 1:
-            raise ValueError("cutoff must be a positive integer")
-        return _osa_distance(a, b, cutoff)
-    n, m = len(a), len(b)
-    longest = max(n, m)
-    threshold = max(abs(n - m) + 1, 8)
-    # Deepen while an abandoned pass would still be much cheaper than the
-    # full DP; past a quarter of the longest length, just run it in full.
-    while threshold * 4 < longest:
-        distance = _osa_distance(a, b, threshold)
-        if distance < threshold:
-            return distance
-        threshold *= 2
-    return _osa_distance(a, b, None)
+    if cutoff is not None and cutoff < 1:
+        raise ValueError("cutoff must be a positive integer")
+    m = len(b)
+    if m == 0:
+        return len(a)
+    masks = _match_masks(tuple(b))
+    full = (1 << m) - 1
+    vp, vn, d0, pm_prev = full, 0, 0, 0
+    for symbol in a:
+        pm = masks.get(symbol, 0)
+        tr = ((pm & ~d0) << 1) & pm_prev
+        d0 = (((pm & vp) + vp) ^ vp) | pm | vn | tr
+        hp = ((vn | ~(d0 | vp)) << 1) | 1
+        vp = (((d0 & vp) << 1) | ~(d0 | hp)) & full
+        vn = hp & d0
+        pm_prev = pm
+    return len(a) + vp.bit_count() - (vn & full).bit_count()
 
 
 def damerau_levenshtein_unrestricted(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
@@ -124,7 +89,7 @@ def damerau_levenshtein_unrestricted(a: Sequence[Hashable], b: Sequence[Hashable
 
     Exposed for the distance-variant ablation; the pipeline defaults to
     the OSA variant, which is what fingerprint implementations typically
-    ship and is ~2× faster per comparison.
+    ship and, computed bit-parallel, is an order of magnitude faster.
     """
     n, m = len(a), len(b)
     if n == 0:
@@ -167,9 +132,9 @@ def normalized_distance(
 ) -> float:
     """Edit distance divided by the longer length, bounded on [0, 1].
 
-    ``cutoff`` (a normalized bound) enables early abandon: the result is
-    exact whenever the true normalized distance is ≤ ``cutoff``, and
-    otherwise lies in ``(cutoff, true distance]``.
+    ``cutoff`` (a normalized bound) follows :func:`damerau_levenshtein`'s
+    contract: the result is exact whenever the true normalized distance is
+    ≤ ``cutoff``, and otherwise lies in ``(cutoff, true distance]``.
     """
     longest = max(len(a), len(b))
     if longest == 0:
@@ -226,8 +191,8 @@ def dissimilarity_score_grouped(
             term = normalized_distance(candidate, reference, cutoff=remaining)
             total += count * term
             if term > remaining:
-                # The term (exact, or an abandoned-DP certificate strictly
-                # above the cutoff) exceeds the remaining budget, so the true
+                # The term (exact, or a certificate strictly above the
+                # cutoff) exceeds the remaining budget, so the true
                 # score is provably > bound — but the rounded running sum can
                 # land exactly on bound, so bump past it explicitly.
                 return max(total, math.nextafter(bound, math.inf))

@@ -138,10 +138,12 @@ class SecurityGateway:
         self.rule_cache.remove(mac)
         if self.sentinel is not None:
             self.sentinel.forget(mac)
-        # Flush the data plane too: installed flow entries and the learned
-        # port, so a re-attached or recycled MAC cannot ride stale rules.
+        # Flush the data plane too: installed flow entries, the learned MAC
+        # and the device's port, so a re-attached or recycled MAC cannot
+        # ride stale rules and flooding never walks departed ports.
         self._flush_device_rules(mac)
         self.switch.unlearn(mac)
+        self.switch.remove_port(device.port)
         self.audit.record(now, AuditEventType.DEVICE_DETACHED, mac)
 
     def device(self, mac: str) -> AttachedDevice:

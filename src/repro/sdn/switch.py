@@ -54,6 +54,27 @@ class OpenVSwitch:
             raise ValueError(f"port {port} already exists")
         self._ports.add(port)
 
+    def remove_port(self, port: int) -> None:
+        """Delete a port with the MACs learned on it and the entries using it.
+
+        Flow entries matching the port as ingress or forwarding to it can
+        only ever serve the departed device; left in place, a later hit
+        would output to a port that no longer exists.
+        """
+        if port not in self._ports:
+            raise ValueError(f"unknown port {port}")
+        self._ports.remove(port)
+        for mac in [mac for mac, learned in self._mac_table.items() if learned == port]:
+            del self._mac_table[mac]
+        stale = [
+            rule
+            for rule in self.table
+            if rule.match.in_port == port
+            or any(action.type is ActionType.OUTPUT and action.port == port for action in rule.actions)
+        ]
+        for rule in stale:
+            self.table.remove(rule)
+
     @property
     def ports(self) -> frozenset[int]:
         return frozenset(self._ports)

@@ -132,8 +132,7 @@ class IoTSecurityService:
         """
         with obs_span(obs_names.SPAN_SERVICE_BATCH, batch=len(reports)) as span:
             self.reports_handled += len(reports)
-            for _ in reports:
-                obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc()
+            obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc(len(reports))
             results = self.identifier.identify_batch(
                 [report.fingerprint for report in reports]
             )

@@ -124,9 +124,9 @@ class TestCutoff:
             assert cutoff <= got <= true
 
     @given(long_seqs, long_seqs)
-    def test_deepening_path_is_exact(self, a, b):
-        # Long sequences exercise the iterative-deepening fast path; it
-        # must agree with a huge-cutoff run (which cannot abandon).
+    def test_long_sequence_exactness(self, a, b):
+        # Long sequences must come out exact without a cutoff, agreeing
+        # with a run whose cutoff lies beyond any possible distance.
         assert damerau_levenshtein(a, b) == damerau_levenshtein(
             a, b, cutoff=len(a) + len(b) + 1
         )

@@ -185,6 +185,37 @@ class TestGatewayLifecycle:
         with pytest.raises(KeyError):
             gateway.detach_device(DEV)
 
+    def test_detach_releases_switch_port(self):
+        gateway = SecurityGateway(filtering=False)
+        gateway.attach_device(PEER)
+        baseline = gateway.switch.ports
+        detached = set()
+        for i in range(20):
+            mac = f"aa:00:00:00:01:{i:02x}"
+            detached.add(gateway.attach_device(mac).port)
+            gateway.process_frame(mac, builder.arp_announce_frame(mac, f"192.168.1.{100 + i}"))
+            gateway.detach_device(mac)
+        assert gateway.switch.ports == baseline
+        flood = gateway.process_frame(PEER, builder.arp_announce_frame(PEER, PEER_IP))
+        assert flood.out_ports
+        assert not detached & set(flood.out_ports)
+
+    def test_peer_rule_toward_detached_device_is_dropped(self):
+        gateway = SecurityGateway(filtering=False)
+        gateway.attach_device(DEV)
+        gateway.attach_device(PEER)
+        peer_port = gateway.device(PEER).port
+
+        def dev_to_peer():
+            return builder.udp_raw_frame(DEV, PEER, DEV_IP, PEER_IP, 50000, 50001, b"x")
+
+        gateway.process_frame(PEER, builder.arp_announce_frame(PEER, PEER_IP))
+        gateway.process_frame(DEV, dev_to_peer())
+        assert gateway.process_frame(DEV, dev_to_peer()).out_ports == (peer_port,)
+        gateway.detach_device(PEER)
+        result = gateway.process_frame(DEV, dev_to_peer())
+        assert peer_port not in result.out_ports
+
     def test_duplicate_attach_rejected(self):
         gateway = SecurityGateway(filtering=False)
         gateway.attach_device(DEV)

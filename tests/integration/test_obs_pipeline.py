@@ -126,6 +126,21 @@ class TestServicePath:
         (directives,) = snap[names.METRIC_DIRECTIVES]["samples"]
         assert directives["labels"]["level"] == directive.level.value
 
+    def test_handle_reports_counts_every_report(self, small_registry, small_identifier):
+        service = IoTSecurityService(identifier=small_identifier)
+        reports = [
+            FingerprintReport(fingerprint=small_registry.fingerprints(label)[0])
+            for label in small_registry.labels
+        ]
+        provider = RecordingProvider()
+        with use_provider(provider):
+            service.handle_reports(reports)
+            service.handle_reports(reports[:2])
+        snap = metrics_snapshot(provider.metrics)
+        (handled,) = snap[names.METRIC_REPORTS_HANDLED]["samples"]
+        assert handled["value"] == len(reports) + 2
+        assert service.reports_handled == len(reports) + 2
+
 
 class TestMonitorPath:
     def test_monitor_counters_follow_a_profiling_session(self):

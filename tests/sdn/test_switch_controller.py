@@ -79,6 +79,29 @@ class TestSwitch:
         with pytest.raises(ValueError):
             switch.process_frame(1, frame_a_to_b())
 
+    def test_remove_port_drops_its_macs_and_rules(self):
+        switch = self.make()
+        switch.learn(MAC_A, 1)
+        switch.learn(MAC_B, 2)
+        to_b = FlowRule(match=FlowMatch(eth_dst=MAC_B), actions=(Action.output(2),))
+        from_b = FlowRule(match=FlowMatch(in_port=2), actions=(Action.output(3),))
+        unrelated = FlowRule(match=FlowMatch(eth_src=MAC_B), actions=(Action.output(3),))
+        for rule in (to_b, from_b, unrelated):
+            switch.install(rule)
+        switch.remove_port(2)
+        assert switch.ports == frozenset({1, 3})
+        assert switch.port_of(MAC_B) is None
+        assert switch.port_of(MAC_A) == 1
+        assert list(switch.table) == [unrelated]
+        # The departed port's forwarding entry is gone, so A -> B floods
+        # to the remaining ports instead of outputting to a missing one.
+        assert switch.process_frame(1, frame_a_to_b()).out_ports == (3,)
+
+    def test_remove_unknown_port_rejected(self):
+        switch = self.make()
+        with pytest.raises(ValueError):
+            switch.remove_port(9)
+
     def test_counters(self):
         switch = self.make()
         switch.process_frame(1, frame_a_to_b())
