@@ -1,10 +1,11 @@
 """Perf harness — train and identify throughput, before vs. after.
 
-Compares the optimized identification hot path (memoized F', interned
-packet symbols, grouped references, best-score cutoff in the edit
-distance) against an in-harness replica of the pre-optimization pipeline
-(F' recomputed per call, 23-float-tuple symbols, full unbounded distance
-sums).  Both paths share the same trained classifier bank, so any label
+Compares the optimized identification hot path (F' built straight from
+the packet tuples and memoized, interned packet symbols, grouped
+references, one packed bit-parallel edit-distance pass per
+discrimination) against an in-harness replica of the pre-optimization
+pipeline (F' recomputed per call, 23-float-tuple symbols, a full DP per
+reference).  Both paths share the same trained classifier bank, so any label
 disagreement is a correctness bug, not noise — the harness asserts
 agreement before reporting timings.
 

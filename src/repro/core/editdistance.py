@@ -21,21 +21,76 @@ __all__ = [
     "normalized_distance",
     "dissimilarity_score",
     "dissimilarity_score_grouped",
+    "dissimilarity_scores",
+    "osa_distances",
 ]
 
 
-@lru_cache(maxsize=4096)
-def _match_masks(pattern: tuple[Hashable, ...]) -> dict[Hashable, int]:
-    """Per-symbol bitmask of the positions where ``pattern`` holds it.
+@lru_cache(maxsize=1024)
+def _packed_masks(
+    patterns: tuple[tuple[Hashable, ...], ...],
+) -> tuple[dict[Hashable, int], int, int, tuple[tuple[int, int], ...]]:
+    """Match masks of ``patterns`` packed side by side into one wide int.
 
-    Keyed by content, so a reference sequence's masks are built once and
-    can never go stale when types are enrolled or retired.  The returned
-    dict is shared between callers and must not be mutated.
+    Pattern ``i`` occupies a block of ``len(pattern)`` bits followed by
+    one zero guard bit, so a carry out of a block's top stops in its guard
+    instead of reaching the next block.  Returns the per-symbol masks, the
+    blocks' bottom bits, every block bit, and each block's ``(offset,
+    width mask)``.  Keyed by content, so the masks can never go stale when
+    types are enrolled or retired; the dict is shared between callers and
+    must not be mutated.
     """
     masks: dict[Hashable, int] = {}
-    for position, symbol in enumerate(pattern):
-        masks[symbol] = masks.get(symbol, 0) | (1 << position)
-    return masks
+    bottoms = blocks = offset = 0
+    spans: list[tuple[int, int]] = []
+    for pattern in patterns:
+        for position, symbol in enumerate(pattern, offset):
+            masks[symbol] = masks.get(symbol, 0) | (1 << position)
+        width = (1 << len(pattern)) - 1
+        if pattern:
+            bottoms |= 1 << offset
+        blocks |= width << offset
+        spans.append((offset, width))
+        offset += len(pattern) + 1
+    return masks, bottoms, blocks, tuple(spans)
+
+
+def osa_distances(
+    a: Sequence[Hashable], patterns: tuple[tuple[Hashable, ...], ...]
+) -> list[int]:
+    """Restricted Damerau–Levenshtein (OSA) distance from ``a`` to each pattern.
+
+    Hyyrö's bit-vector algorithm (2003), run for every pattern at once:
+    the DP column for a prefix of ``a`` against every prefix of a pattern
+    is held as vertical +1/-1 deltas in ``vp``/``vn``, one bit per pattern
+    symbol, and all patterns sit in one Python int separated by guard bits
+    (the multi-pattern packing of Hyyrö, Fredriksson & Navarro, 2005).
+    Each symbol of ``a`` advances every column with about twenty int
+    operations, ``tr`` adding the transposition diagonal.  Against the
+    one-pattern recurrence only one thing changes: ``hp`` gets its +1 at
+    the bottom of *every* block (each pattern's empty-prefix row).  A
+    guard stays clear in ``vp``, which is masked to the block bits, and
+    in ``pm``; the carry it catches in ``d0``/``vn`` only ever shifts into
+    the next block's bottom bit of ``hp``, which that +1 overrides, or
+    into ``vp`` bits the mask clears.  A block's final deltas sum to its
+    distance less ``len(a)``.  The packed masks are cached by content, so
+    pass the patterns that repeat across calls (references).
+    """
+    masks, bottoms, blocks, spans = _packed_masks(patterns)
+    vp, vn, d0, pm_prev = blocks, 0, 0, 0
+    for symbol in a:
+        pm = masks.get(symbol, 0)
+        tr = ((pm & ~d0) << 1) & pm_prev
+        d0 = (((pm & vp) + vp) ^ vp) | pm | vn | tr
+        hp = ((vn | ~(d0 | vp)) << 1) | bottoms
+        vp = (((d0 & vp) << 1) | ~(d0 | hp)) & blocks
+        vn = hp & d0
+        pm_prev = pm
+    n = len(a)
+    return [
+        n + ((vp >> offset) & width).bit_count() - ((vn >> offset) & width).bit_count()
+        for offset, width in spans
+    ]
 
 
 def damerau_levenshtein(
@@ -47,36 +102,13 @@ def damerau_levenshtein(
     distance is *below* ``cutoff`` and otherwise lies in ``[cutoff, true
     distance]``, so callers asking "is it closer than my current best?"
     get the exact answer in the cases that matter.  The value computed is
-    always exact, which meets that contract.
-
-    Hyyrö's bit-vector algorithm (2003): the DP column for a prefix of
-    ``a`` against every prefix of ``b`` is held as vertical +1/-1 deltas in
-    ``vp``/``vn``, one bit per symbol of ``b`` — Python's unbounded ints
-    make any length one word.  Each symbol of ``a`` advances the column
-    with about twenty int operations, ``tr`` adding the transposition
-    diagonal.  Bits above ``len(b)`` only carry or shift upwards, so they
-    never disturb the column; masking keeps them from piling up.  The
-    final column's top cell (``b`` empty) is ``len(a)`` and its deltas sum
-    to the distance.  ``b``'s match masks are cached by content, so pass
-    the sequence that repeats across calls (a reference) as ``b``.
+    always exact, which meets that contract.  One-pattern use of
+    :func:`osa_distances`; ``b``'s masks are cached, so pass the sequence
+    that repeats across calls as ``b``.
     """
     if cutoff is not None and cutoff < 1:
         raise ValueError("cutoff must be a positive integer")
-    m = len(b)
-    if m == 0:
-        return len(a)
-    masks = _match_masks(tuple(b))
-    full = (1 << m) - 1
-    vp, vn, d0, pm_prev = full, 0, 0, 0
-    for symbol in a:
-        pm = masks.get(symbol, 0)
-        tr = ((pm & ~d0) << 1) & pm_prev
-        d0 = (((pm & vp) + vp) ^ vp) | pm | vn | tr
-        hp = ((vn | ~(d0 | vp)) << 1) | 1
-        vp = (((d0 & vp) << 1) | ~(d0 | hp)) & full
-        vn = hp & d0
-        pm_prev = pm
-    return len(a) + vp.bit_count() - (vn & full).bit_count()
+    return osa_distances(a, (tuple(b),))[0]
 
 
 def damerau_levenshtein_unrestricted(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
@@ -143,7 +175,8 @@ def normalized_distance(
         return damerau_levenshtein(a, b) / longest
     # Smallest integer distance that would push the normalized value past
     # the bound; any true distance at or below cutoff·longest stays exact.
-    int_cutoff = int(cutoff * longest) + 1
+    # A negative bound is passed by every distance, the lowest being 1.
+    int_cutoff = max(1, int(cutoff * longest) + 1)
     return damerau_levenshtein(a, b, cutoff=int_cutoff) / longest
 
 
@@ -178,22 +211,46 @@ def dissimilarity_score_grouped(
     """:func:`dissimilarity_score` over deduplicated ``(reference, count)`` groups.
 
     Reference fingerprints are repeated setup runs and frequently identical;
-    grouping computes each distinct reference's distance once and weights it
-    by multiplicity — the same sum, fewer DP runs.  ``bound`` semantics match
+    grouping weights each distinct reference's distance by its multiplicity
+    — the same sum, fewer distances.  ``bound`` semantics match
     :func:`dissimilarity_score`.
     """
-    total = 0.0
-    for reference, count in groups:
-        if bound is None:
-            total += count * normalized_distance(candidate, reference)
-        else:
+    return dissimilarity_scores(candidate, [groups], bound=bound)[0]
+
+
+def dissimilarity_scores(
+    candidate: Sequence[Hashable],
+    group_lists: Sequence[Sequence[tuple[Sequence[Hashable], int]]],
+    *,
+    bound: float | None = None,
+) -> list[float]:
+    """:func:`dissimilarity_score_grouped` for several group lists at once.
+
+    Every distinct reference of every list goes through one
+    :func:`osa_distances` pass; each list's terms are then summed in its
+    own order, so the scores equal one grouped call per list bit for bit.
+    ``bound`` applies to every list's running sum.
+    """
+    index: dict[tuple[Hashable, ...], int] = {}
+    slots = [[index.setdefault(tuple(ref), len(index)) for ref, _ in groups] for groups in group_lists]
+    distances = osa_distances(candidate, tuple(index))
+    n = len(candidate)
+    scores: list[float] = []
+    for groups, positions in zip(group_lists, slots):
+        total = 0.0
+        for (reference, count), i in zip(groups, positions):
+            longest = max(n, len(reference))
+            term = distances[i] / longest if longest else 0.0
+            if bound is None:
+                total += count * term
+                continue
             remaining = (bound - total) / count
-            term = normalized_distance(candidate, reference, cutoff=remaining)
             total += count * term
             if term > remaining:
-                # The term (exact, or a certificate strictly above the
-                # cutoff) exceeds the remaining budget, so the true
-                # score is provably > bound — but the rounded running sum can
-                # land exactly on bound, so bump past it explicitly.
-                return max(total, math.nextafter(bound, math.inf))
-    return total
+                # The term exceeds the remaining budget, so the true score
+                # is > bound — but the rounded running sum can land exactly
+                # on bound, so bump past it explicitly.
+                total = max(total, math.nextafter(bound, math.inf))
+                break
+        scores.append(total)
+    return scores

@@ -175,14 +175,33 @@ class Fingerprint:
     def fixed(self, length: int = DEFAULT_FP_PACKETS) -> np.ndarray:
         """The fixed-size vector F' (length × 23 entries).
 
-        Memoized per ``length``: the classifier bank reads the same F'
-        once per classifier pass, so it is computed once and returned as a
-        read-only array thereafter (copy before mutating).
+        Built straight from the packet tuples, byte-identical to
+        ``fixed_vector(self.rows, length)``: a packet is dropped when it
+        equals an earlier one, except that a NaN-bearing packet never
+        does (tuple comparison would call two packets holding one shared
+        NaN object equal, so NaN is checked explicitly).  Memoized per
+        ``length`` and returned as a read-only array (copy before
+        mutating), since stage 1 and training both read it.
         """
         key = ("fixed", length)
         cached = self._cache.get(key)
         if cached is None:
-            cached = fixed_vector(self.rows, length)
+            if length < 1:
+                raise ValueError("length must be positive")
+            unique: list[tuple[float, ...]] = []
+            seen: set[tuple[float, ...]] = set()
+            for packet in self.packets:
+                row = tuple(packet)
+                if row in seen and all(x == x for x in row):
+                    continue
+                seen.add(row)
+                unique.append(row)
+                if len(unique) == length:
+                    break
+            out = np.zeros((length, NUM_FEATURES), dtype=np.float64)
+            if unique:
+                out[: len(unique)] = unique
+            cached = out.reshape(-1)
             cached.setflags(write=False)
             self._cache[key] = cached
         return cached

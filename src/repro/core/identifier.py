@@ -32,7 +32,7 @@ from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
 from repro.obs import span as obs_span
 
-from .editdistance import dissimilarity_score_grouped
+from .editdistance import dissimilarity_scores
 from .fingerprint import DEFAULT_FP_PACKETS, Fingerprint
 from .registry import DeviceTypeRegistry
 
@@ -239,7 +239,10 @@ class DeviceIdentifier:
         """Stage 1 over many fingerprints with one pass per classifier.
 
         Each forest sees the whole stacked F' matrix once, which is far
-        cheaper than per-fingerprint calls when evaluating corpora.
+        cheaper than per-fingerprint calls when evaluating corpora.  The
+        accepted (fingerprint, type) pairs are read off one boolean
+        matrix in row-major order, so each candidate list is in sorted
+        label order.
         """
         if not self._models:
             raise RuntimeError("identifier is not trained")
@@ -247,9 +250,9 @@ class DeviceIdentifier:
             return []
         with obs_span(obs_names.SPAN_CLASSIFY, batch=len(fingerprints)):
             stacked = np.vstack([fp.fixed(self.fp_length) for fp in fingerprints])
-            candidates: list[list[str]] = [[] for _ in fingerprints]
             if self.compiled:
                 bank = self._compiled_bank()
+                labels = bank.labels
                 with obs_span(
                     obs_names.SPAN_CLASSIFY_BANK,
                     batch=len(fingerprints),
@@ -259,53 +262,47 @@ class DeviceIdentifier:
                 # Same label order as the interpreted loop below, and the
                 # probabilities are byte-identical, so the candidate lists
                 # cannot differ between the two paths.
-                for j, label in enumerate(bank.labels):
-                    for row in np.flatnonzero(positive[:, j] >= self.accept_threshold):
-                        candidates[int(row)].append(label)
-                return candidates
-            for label, model in sorted(self._models.items()):
-                with obs_span(obs_names.SPAN_CLASSIFY_MODEL, label=label):
-                    proba = model.classifier.predict_proba(stacked)
-                classes = list(model.classifier.classes_)
-                if True not in classes:
-                    continue
-                positive = proba[:, classes.index(True)]
-                for row in np.flatnonzero(positive >= self.accept_threshold):
-                    candidates[int(row)].append(label)
+                accepted = positive >= self.accept_threshold
+            else:
+                labels = self.labels
+                accepted = np.zeros((len(fingerprints), len(labels)), dtype=bool)
+                for j, label in enumerate(labels):
+                    classifier = self._models[label].classifier
+                    with obs_span(obs_names.SPAN_CLASSIFY_MODEL, label=label):
+                        proba = classifier.predict_proba(stacked)
+                    classes = list(classifier.classes_)
+                    if True in classes:
+                        accepted[:, j] = proba[:, classes.index(True)] >= self.accept_threshold
+            candidates: list[list[str]] = [[] for _ in fingerprints]
+            rows, columns = np.nonzero(accepted)
+            for row, column in zip(rows.tolist(), columns.tolist()):
+                candidates[row].append(labels[column])
         return candidates
 
     def discriminate(self, fingerprint: Fingerprint, candidates: list[str]) -> tuple[str, dict]:
         """Stage 2: edit-distance dissimilarity over full ``F``; lowest wins.
 
-        Candidates are evaluated in sorted order with a best-score cutoff
-        threaded into the edit distance: once a candidate's running sum
-        provably cannot beat the current best, its remaining references are
-        skipped.  Scores within :data:`TIE_TOLERANCE` of the winner are
-        always exact (the returned ``scores`` dict preserves the tie list);
-        a hopeless candidate's entry may be a partial lower bound, which is
-        still strictly above the winning score.  Ties break to the
-        lexicographically smallest label — identification is deterministic
-        and independent of batch order or prior calls.
+        Every distinct reference of every candidate is measured against
+        ``F`` in one packed bit-parallel pass, and each candidate's score
+        is its exact grouped sum, accumulated in its references' sorted
+        order — so every entry of the returned ``scores`` dict is exact,
+        the winner's and a hopeless candidate's alike.  Candidates within
+        :data:`TIE_TOLERANCE` of the lowest score tie, and ties break to
+        the lexicographically smallest label — identification is
+        deterministic and independent of batch order or prior calls.
         """
         if not candidates:
             raise ValueError("no candidates to discriminate")
         with obs_span(obs_names.SPAN_DISCRIMINATE, candidates=len(candidates)):
             obs_counter(obs_names.METRIC_DISCRIMINATIONS).inc()
+            # Symbols before references: interning order fixes the symbol
+            # ids, and with them the order each label's groups sum in.
             symbols = fingerprint.symbols()
-            scores: dict[str, float] = {}
-            best = float("inf")
-            for label in sorted(candidates):
-                groups = self._models[label].grouped_reference_symbols()
-                bound = None if best == float("inf") else best + self.TIE_TOLERANCE
-                score = dissimilarity_score_grouped(symbols, groups, bound=bound)
-                scores[label] = score
-                if score < best:
-                    best = score
-            tied = sorted(
-                label
-                for label, score in scores.items()
-                if score <= best + self.TIE_TOLERANCE
-            )
+            labels = sorted(set(candidates))
+            groups = [self._models[label].grouped_reference_symbols() for label in labels]
+            scores = dict(zip(labels, dissimilarity_scores(symbols, groups)))
+            best = min(scores.values())
+            tied = [label for label, score in scores.items() if score <= best + self.TIE_TOLERANCE]
             return tied[0], scores
 
     def _resolve(self, fingerprint: Fingerprint, candidates: list[str]) -> IdentificationResult:

@@ -149,6 +149,20 @@ class TestCutoff:
         with pytest.raises(ValueError):
             damerau_levenshtein("ab", "cd", cutoff=0)
 
+    @pytest.mark.parametrize("cutoff", [-0.5, -1.0, -0.001, -3.0])
+    def test_negative_normalized_cutoff_is_a_valid_bound(self, cutoff):
+        # Every normalized distance exceeds a negative bound, so the
+        # result only has to lie in (cutoff, true]; it must not raise.
+        got = normalized_distance("abc", "abd", cutoff=cutoff)
+        assert cutoff < got <= normalized_distance("abc", "abd")
+        assert normalized_distance("abc", "abc", cutoff=cutoff) == 0.0
+
+    @given(seqs, seqs, st.floats(min_value=-5.0, max_value=0.0, exclude_max=True))
+    def test_negative_normalized_cutoff_contract(self, a, b, cutoff):
+        true = normalized_distance(a, b)
+        got = normalized_distance(a, b, cutoff=cutoff)
+        assert cutoff < got <= true
+
     @given(seqs, seqs)
     def test_osa_upper_bounds_unrestricted(self, a, b):
         # The pipeline's OSA distance never undercuts the true DL metric.
@@ -179,6 +193,18 @@ class TestDissimilarityScore:
 
     def test_empty_references(self):
         assert dissimilarity_score("abc", []) == 0.0
+
+    @pytest.mark.parametrize("bound", [-1.0, -0.25, -1e-12])
+    def test_negative_bound_is_exceeded_not_raised(self, bound):
+        refs = ["abc", "abd", "xyz"]
+        got = dissimilarity_score("abc", refs, bound=bound)
+        assert bound < got <= dissimilarity_score("abc", refs)
+        assert dissimilarity_score("abc", ["abc"], bound=bound) == 0.0
+
+    @given(seqs, st.lists(seqs, max_size=5), st.floats(min_value=-5.0, max_value=0.0, exclude_max=True))
+    def test_negative_bound_contract(self, candidate, references, bound):
+        got = dissimilarity_score(candidate, references, bound=bound)
+        assert bound < got <= dissimilarity_score(candidate, references) + 1e-12
 
     @given(
         seqs,

@@ -1,7 +1,9 @@
 """The bit-parallel OSA kernel against a textbook dynamic-programming oracle.
 
-``damerau_levenshtein`` computes the restricted Damerau (optimal string
-alignment) distance with Hyyrö's bit-vector algorithm.  The oracle below is
+``osa_distances`` computes the restricted Damerau (optimal string
+alignment) distance to many patterns at once with Hyyrö's bit-vector
+algorithm, the patterns packed side by side into one int with guard bits;
+``damerau_levenshtein`` is its one-pattern use.  The oracle below is
 the plain O(n·m) table, kept here and nowhere else so that the kernel is
 always judged against an independent reading of the definition.  The
 identifier-level case checks that stage-2 discrimination on the 27-type lab
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeviceIdentifier, damerau_levenshtein
+from repro.core.editdistance import osa_distances
 from repro.devices import DEVICE_PROFILES, collect_dataset
 
 
@@ -38,16 +41,10 @@ def assert_matches_oracle(a, b) -> None:
     assert damerau_levenshtein(b, a) == oracle_osa(b, a)
 
 
-@st.composite
-def related_pairs(draw, symbols, min_size=0, max_size=200):
-    """A sequence and a copy of it after a few random edits.
-
-    Unrelated random sequences sit near the length bound; small edit
-    scripts, adjacent swaps included, reach the transposition diagonal.
-    """
-    a = draw(st.lists(symbols, min_size=min_size, max_size=max_size))
-    b = list(a)
-    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+def edited(draw, sequence, symbols, max_edits=8):
+    """A copy of ``sequence`` after a few random substitutions, indels and swaps."""
+    b = list(sequence)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edits))):
         op = draw(st.sampled_from(["sub", "ins", "del", "swap"]))
         if op == "ins":
             b.insert(draw(st.integers(min_value=0, max_value=len(b))), draw(symbols))
@@ -60,7 +57,18 @@ def related_pairs(draw, symbols, min_size=0, max_size=200):
         elif len(b) > 1:
             i = draw(st.integers(min_value=0, max_value=len(b) - 2))
             b[i], b[i + 1] = b[i + 1], b[i]
-    return a, b
+    return b
+
+
+@st.composite
+def related_pairs(draw, symbols, min_size=0, max_size=200):
+    """A sequence and a copy of it after a few random edits.
+
+    Unrelated random sequences sit near the length bound; small edit
+    scripts, adjacent swaps included, reach the transposition diagonal.
+    """
+    a = draw(st.lists(symbols, min_size=min_size, max_size=max_size))
+    return a, edited(draw, a, symbols)
 
 
 ints = st.integers(min_value=0, max_value=4)
@@ -116,6 +124,75 @@ class TestKernelMatchesOracle:
         assert oracle_osa(a, b) == expected
 
 
+def assert_packed_matches_oracle(a, patterns) -> None:
+    patterns = tuple(tuple(pattern) for pattern in patterns)
+    assert osa_distances(a, patterns) == [oracle_osa(a, pattern) for pattern in patterns]
+
+
+@st.composite
+def pattern_sets(draw, symbols, max_patterns=15, max_len=80):
+    """A query and 1–15 patterns, some edited copies of it, some repeated."""
+    a = draw(st.lists(symbols, max_size=max_len))
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_patterns))):
+        kind = draw(st.sampled_from(["random", "edited", "empty", "repeat"]))
+        if kind == "random":
+            patterns.append(draw(st.lists(symbols, max_size=max_len)))
+        elif kind == "edited":
+            patterns.append(edited(draw, a, symbols, max_edits=6))
+        elif kind == "empty":
+            patterns.append([])
+        elif patterns:
+            patterns.append(list(draw(st.sampled_from(patterns))))
+    return a, patterns or [[]]
+
+
+class TestPackedKernelMatchesOracle:
+    """Many patterns in one wide int must each get their own exact distance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pattern_sets(ints))
+    def test_int_symbols(self, case):
+        assert_packed_matches_oracle(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(pattern_sets(chars), pattern_sets(tuples)))
+    def test_str_and_tuple_symbols(self, case):
+        assert_packed_matches_oracle(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pattern_sets(ints, max_len=140))
+    def test_blocks_wider_than_a_machine_word(self, case):
+        assert_packed_matches_oracle(*case)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(ints, max_size=60),
+        st.lists(st.lists(ints, min_size=84, max_size=100), min_size=12, max_size=15),
+    )
+    def test_total_width_past_a_thousand_bits(self, a, patterns):
+        assert sum(len(p) + 1 for p in patterns) > 1000
+        assert_packed_matches_oracle(a, patterns)
+
+    @pytest.mark.parametrize(
+        "a,patterns",
+        [
+            ("", ["", "x", "xyz"]),
+            ("abc", ["", "", "abc"]),
+            ("ca", ["abc", "abc", "ac", "ca"]),
+            ("kitten", ["sitting", "", "kitten", "ktiten"]),
+        ],
+    )
+    def test_empty_and_duplicate_patterns(self, a, patterns):
+        assert_packed_matches_oracle(a, patterns)
+
+    def test_guard_bit_stops_a_full_carry(self):
+        # A query that matches the lower block everywhere drives a carry
+        # through all of its bits; the block above must not see it.
+        a = "a" * 70
+        assert_packed_matches_oracle(a, ["a" * 70, "b" * 70, "a" * 69, "ab" * 35])
+
+
 # --- identifier level ---------------------------------------------------------
 
 
@@ -155,7 +232,5 @@ def test_discriminate_matches_oracle_on_lab_corpus(lab_identifier):
         tied = sorted(label for label, score in expected.items() if score <= best + tolerance)
         assert winner == tied[0]
         assert sorted(label for label, score in scores.items() if score <= best + tolerance) == tied
-        for label in tied:
-            assert scores[label] == expected[label]
-        for label in set(candidates) - set(tied):
-            assert scores[label] > best + tolerance
+        # Every score is exact, a hopeless candidate's included.
+        assert scores == expected
