@@ -1,12 +1,14 @@
-"""Fleet-scale stage-1 throughput: interpreted forests vs. compiled bank.
+"""Fleet-scale stage-1 throughput: compiled bank vs. per-forest reference.
 
-Measures ``DeviceIdentifier.classify_batch`` over a fixed probe batch at
-classifier-bank populations of 27 (the paper's device count), 100 and
-1000 types, on the interpreted per-forest path (``compiled=False``) and
-on the :class:`~repro.ml.compiled.CompiledBank` array-traversal path.
-Candidate sets must agree exactly — the compiled path is byte-identical
-``predict_proba`` by construction, so any disagreement fails the run
-before a single timing is reported.
+Measures ``DeviceIdentifier.classify_batch`` (the
+:class:`~repro.ml.compiled.CompiledBank` array traversal, the only
+stage-1 path) over a fixed probe batch at classifier-bank populations of
+27 (the paper's device count), 100 and 1000 types, against an
+interpreted reference that calls each type's
+``RandomForestClassifier.predict_proba`` in turn.  Candidate sets must
+agree exactly — the bank is byte-identical ``predict_proba`` by
+construction, so any disagreement fails the run before a single timing
+is reported.
 
 Also times the warm-start model store: a cold ``fit`` against
 ``warm_start_identifier`` hitting a content-hash cache entry.
@@ -50,6 +52,21 @@ def _probe_batch(registry, rng: np.random.Generator):
     ]
 
 
+def _interpreted_candidates(identifier: DeviceIdentifier, probes) -> list[list[str]]:
+    """Stage 1 from each type's forest in turn, in sorted label order."""
+    stacked = np.vstack([fp.fixed(identifier.fp_length) for fp in probes])
+    candidates: list[list[str]] = [[] for _ in probes]
+    for label in identifier.labels:
+        forest = identifier._models[label].classifier
+        classes = list(forest.classes_)
+        if True not in classes:
+            continue
+        positive = forest.predict_proba(stacked)[:, classes.index(True)]
+        for row in np.flatnonzero(positive >= identifier.accept_threshold):
+            candidates[int(row)].append(label)
+    return candidates
+
+
 def _best_of(repetitions: int, fn) -> float:
     best = float("inf")
     for _ in range(max(1, repetitions)):
@@ -73,11 +90,9 @@ def run_benchmark(*, smoke: bool = False, repetitions: int = 3, seed: int = 3) -
             identifier.add_type(registry, f"type{t:04d}")
         enrolled = target
 
-        identifier.compiled = False
-        interpreted = identifier.classify_batch(probes)
-        t_interp = _best_of(repetitions, lambda: identifier.classify_batch(probes))
+        interpreted = _interpreted_candidates(identifier, probes)
+        t_interp = _best_of(repetitions, lambda: _interpreted_candidates(identifier, probes))
 
-        identifier.compiled = True
         identifier.invalidate_compiled()
         start = time.perf_counter()
         compiled = identifier.classify_batch(probes)  # includes bank compilation

@@ -104,7 +104,7 @@ def run_benchmark(*, smoke: bool = False, seed: int = 7) -> dict:
     if not labels_agree:
         raise AssertionError("recording a run must never change its results")
     recorded_names = {r.name for r in recording.tracer.records()}
-    expected = {names.SPAN_CLASSIFY, names.SPAN_CLASSIFY_MODEL}
+    expected = {names.SPAN_IDENTIFY, names.SPAN_CLASSIFY_BANK}
     if not expected <= recorded_names:
         raise AssertionError(
             f"recording provider missed documented spans: {expected - recorded_names}"

@@ -117,12 +117,8 @@ class Fingerprint:
         for vector in arrays:
             if vector.shape != (NUM_FEATURES,):
                 raise ValueError(f"feature vector must have {NUM_FEATURES} entries")
-        deduped = dedupe_consecutive(arrays)
-        return cls(
-            packets=tuple(tuple(float(x) for x in v) for v in deduped),
-            device_mac=device_mac,
-            label=label,
-        )
+        matrix = np.array(arrays).reshape(len(arrays), NUM_FEATURES)
+        return cls.from_matrix(matrix, device_mac=device_mac, label=label)
 
     @classmethod
     def from_matrix(
@@ -134,12 +130,9 @@ class Fingerprint:
     ) -> "Fingerprint":
         """Construct from an ``(n, NUM_FEATURES)`` feature matrix (applies dedup).
 
-        The batch twin of :meth:`from_vectors` — consecutive-duplicate
-        removal happens as one vectorized row comparison instead of a
-        Python loop, producing a byte-identical fingerprint (note that a
-        NaN entry makes a row compare unequal to itself under both
-        ``np.array_equal`` and elementwise ``!=``, so even that edge
-        agrees).
+        Consecutive-duplicate removal is one vectorized row comparison; a
+        NaN entry makes a row compare unequal to its predecessor, exactly
+        as under :func:`dedupe_consecutive`.
         """
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[1] != NUM_FEATURES:

@@ -13,7 +13,7 @@ New types can be added (and retired) without retraining any other model —
 the paper's scalability argument for the one-classifier-per-type design.
 
 Instrumented with ``repro.obs``: the per-stage spans (``identify``,
-``identify.classify[.model]``, ``identify.discriminate``) mirror the
+``identify.classify[.bank]``, ``identify.discriminate``) mirror the
 Table IV step breakdown — see ``docs/observability.md``.
 """
 
@@ -106,15 +106,12 @@ class DeviceIdentifier:
         byte-identical regardless of ``n_jobs``, training order, or
         whether a type arrived via :meth:`fit` or :meth:`add_type` — and
         inference never consumes randomness at all.
-    compiled:
-        When true (the default), stage 1 evaluates batches through a
-        lazily built :class:`~repro.ml.compiled.CompiledBank` — one flat
-        node table for the whole classifier bank, traversed with
-        vectorized gathers.  The compiled path is byte-identical to the
-        interpreted per-forest loop (``tests/ml/test_compiled_differential.py``
-        pins this), so flipping the flag never changes a result, only
-        throughput.  The bank is rebuilt automatically after
-        :meth:`fit`/:meth:`add_type`/:meth:`remove_type`.
+
+    Stage 1 evaluates through a lazily built
+    :class:`~repro.ml.compiled.CompiledBank` — one flat node table for
+    the whole classifier bank, traversed with vectorized gathers and
+    byte-identical to each forest's own ``predict_proba``.  The bank is
+    rebuilt automatically after :meth:`fit`/:meth:`add_type`/:meth:`remove_type`.
     """
 
     #: Score slack within which two candidates count as tied.
@@ -130,7 +127,6 @@ class DeviceIdentifier:
         max_depth: int | None = None,
         accept_threshold: float = 0.4,
         random_state: int | np.random.Generator | None = None,
-        compiled: bool = True,
     ) -> None:
         self.fp_length = fp_length
         self.negative_ratio = negative_ratio
@@ -138,7 +134,6 @@ class DeviceIdentifier:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.accept_threshold = accept_threshold
-        self.compiled = compiled
         self._entropy = derive_entropy(random_state)
         self._models: dict[str, _TypeModel] = {}
         self._bank: CompiledBank | None = None
@@ -236,10 +231,9 @@ class DeviceIdentifier:
         return self.classify_batch([fingerprint])[0]
 
     def classify_batch(self, fingerprints: list[Fingerprint]) -> list[list[str]]:
-        """Stage 1 over many fingerprints with one pass per classifier.
+        """Stage 1 over many fingerprints in one compiled-bank pass.
 
-        Each forest sees the whole stacked F' matrix once, which is far
-        cheaper than per-fingerprint calls when evaluating corpora.  The
+        Every type's forest sees the whole stacked F' matrix at once.  The
         accepted (fingerprint, type) pairs are read off one boolean
         matrix in row-major order, so each candidate list is in sorted
         label order.
@@ -250,33 +244,14 @@ class DeviceIdentifier:
             return []
         with obs_span(obs_names.SPAN_CLASSIFY, batch=len(fingerprints)):
             stacked = np.vstack([fp.fixed(self.fp_length) for fp in fingerprints])
-            if self.compiled:
-                bank = self._compiled_bank()
-                labels = bank.labels
-                with obs_span(
-                    obs_names.SPAN_CLASSIFY_BANK,
-                    batch=len(fingerprints),
-                    types=bank.n_forests,
-                ):
-                    positive = bank.positive_proba(stacked)
-                # Same label order as the interpreted loop below, and the
-                # probabilities are byte-identical, so the candidate lists
-                # cannot differ between the two paths.
-                accepted = positive >= self.accept_threshold
-            else:
-                labels = self.labels
-                accepted = np.zeros((len(fingerprints), len(labels)), dtype=bool)
-                for j, label in enumerate(labels):
-                    classifier = self._models[label].classifier
-                    with obs_span(obs_names.SPAN_CLASSIFY_MODEL, label=label):
-                        proba = classifier.predict_proba(stacked)
-                    classes = list(classifier.classes_)
-                    if True in classes:
-                        accepted[:, j] = proba[:, classes.index(True)] >= self.accept_threshold
+            bank = self._compiled_bank()
+            with obs_span(obs_names.SPAN_CLASSIFY_BANK, batch=len(fingerprints), types=bank.n_forests):
+                positive = bank.positive_proba(stacked)
+            accepted = positive >= self.accept_threshold
             candidates: list[list[str]] = [[] for _ in fingerprints]
             rows, columns = np.nonzero(accepted)
             for row, column in zip(rows.tolist(), columns.tolist()):
-                candidates[row].append(labels[column])
+                candidates[row].append(bank.labels[column])
         return candidates
 
     def discriminate(self, fingerprint: Fingerprint, candidates: list[str]) -> tuple[str, dict]:
@@ -322,18 +297,17 @@ class DeviceIdentifier:
 
     def identify(self, fingerprint: Fingerprint) -> IdentificationResult:
         """Run the full two-stage pipeline on one fingerprint."""
-        with obs_span(obs_names.SPAN_IDENTIFY) as span:
-            result = self._resolve(fingerprint, self.classify(fingerprint))
-            span.set(
-                label=result.label,
-                candidates=len(result.candidates),
-                discriminated=result.used_discrimination,
-            )
-            return result
+        return self.identify_batch([fingerprint])[0]
 
     def identify_batch(self, fingerprints: list[Fingerprint]) -> list[IdentificationResult]:
-        """The full pipeline over many fingerprints (batched stage 1)."""
-        return [
-            self._resolve(fp, candidates)
-            for fp, candidates in zip(fingerprints, self.classify_batch(fingerprints))
-        ]
+        """The full two-stage pipeline over many fingerprints (one stage-1 pass)."""
+        with obs_span(obs_names.SPAN_IDENTIFY, batch=len(fingerprints)) as span:
+            results = [
+                self._resolve(fp, candidates)
+                for fp, candidates in zip(fingerprints, self.classify_batch(fingerprints))
+            ]
+            span.set(
+                unknown=sum(result.is_unknown for result in results),
+                discriminated=sum(result.used_discrimination for result in results),
+            )
+            return results

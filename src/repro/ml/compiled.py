@@ -5,14 +5,19 @@ Python ``_Node`` objects one tree at a time; at fleet scale (hundreds of
 device types × batches of fingerprints) the per-node Python dispatch
 dominates.  This module *compiles* a fitted forest into flat NumPy node
 tables — feature index, threshold, left/right child, leaf
-class-probabilities — and evaluates whole batches with ``O(depth)``
-vectorized gathers instead of per-tree recursion.
+class-probabilities — held in a :class:`CompiledForest` (also the npz
+model store's format, reversible with :func:`forest_from_flat`).
+:class:`CompiledBank` puts every tree of every per-type forest into one
+global node table, so stage-1 classification of a batch is a single
+depth-bounded traversal for all types at once, then a per-forest
+positive-column accumulation.  It is the only stage-1 inference path;
+the interpreted forest stays for training and as the test oracle.
 
 Bit-exactness contract
 ----------------------
-``CompiledForest.predict_proba`` is **byte-identical** to the interpreted
-``RandomForestClassifier.predict_proba`` for any fitted forest and any
-input batch.  Three properties make this hold:
+Column ``j`` of ``CompiledBank.positive_proba`` is **byte-identical** to
+the positive column of forest ``j``'s interpreted ``predict_proba`` for
+any fitted forest and any input batch.  Three properties make this hold:
 
 * Routing uses the same ``x[:, feature] <= threshold`` float64 comparison
   (NaN routes right in both paths, because ``NaN <= t`` is false).
@@ -26,11 +31,6 @@ input batch.  Three properties make this hold:
   the interpreted path.  Pairwise-summation reductions
   (``np.sum(axis=...)``, ``np.add.reduce``) are deliberately avoided:
   they re-associate the adds and change low-order bits.
-
-:class:`CompiledBank` extends the same idea across the *entire* classifier
-bank: every tree of every per-type forest lives in one global node table,
-so stage-1 classification of a batch is a single depth-bounded traversal
-for all types at once, then a per-forest positive-column accumulation.
 """
 
 from __future__ import annotations
@@ -126,35 +126,6 @@ def _flatten_forest(
     )
 
 
-def _route(
-    x: np.ndarray,
-    indices: np.ndarray,
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    max_depth: int,
-) -> np.ndarray:
-    """Route every (row, tree) pair from its root to a leaf index.
-
-    ``indices`` is ``(rows, trees)`` of current node positions; each of
-    the ``max_depth`` iterations advances every still-internal position by
-    one level with four vectorized gathers, so cost scales with depth and
-    batch size, never with node count.
-    """
-    rows = np.arange(len(x))[:, None]
-    for _ in range(max_depth):
-        feat = feature[indices]
-        active = feat >= 0
-        if not active.any():
-            break
-        values = x[rows, np.where(active, feat, 0)]
-        go_left = values <= threshold[indices]
-        children = np.where(go_left, left[indices], right[indices])
-        indices = np.where(active, children, indices)
-    return indices
-
-
 @dataclass(frozen=True)
 class CompiledForest:
     """A fitted forest flattened into node tables (see module docstring).
@@ -179,25 +150,6 @@ class CompiledForest:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Byte-identical to the interpreted forest's ``predict_proba``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("x must be a 2-D array")
-        start = np.broadcast_to(self.tree_roots, (len(x), self.n_trees))
-        leaves = _route(
-            x, start, self.feature, self.threshold, self.left, self.right, self.max_depth
-        )
-        total = np.zeros((len(x), len(self.classes_)))
-        # Sequential per-tree adds in tree order: the interpreted path's
-        # exact float operation sequence (see module docstring).
-        for t in range(self.n_trees):
-            total += self.proba[leaves[:, t]]
-        return total / self.n_trees
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.classes_[np.argmax(self.predict_proba(x), axis=1)]
 
 
 def compile_forest(forest: RandomForestClassifier) -> CompiledForest:
@@ -278,7 +230,7 @@ class CompiledBank:
     bit-exactness with the interpreted forests) and divided once.
 
     Forests whose training data never contained the positive class are
-    excluded — the interpreted stage-1 loop skips them too.
+    excluded: they can never accept a fingerprint.
     """
 
     def __init__(self, forests: list[tuple[str, RandomForestClassifier]]) -> None:

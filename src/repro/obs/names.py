@@ -10,7 +10,7 @@ a row to the docs table.
 Naming conventions
 ------------------
 * **Spans** are dotted paths mirroring the pipeline hierarchy
-  (``identify.classify.model`` nests under ``identify.classify`` nests
+  (``identify.classify.bank`` nests under ``identify.classify`` nests
   under ``identify``).
 * **Metrics** follow Prometheus conventions: ``snake_case``, a
   ``_total`` suffix on counters, base units in the name.  Dots are not
@@ -23,7 +23,6 @@ __all__ = [
     # spans
     "SPAN_IDENTIFY",
     "SPAN_CLASSIFY",
-    "SPAN_CLASSIFY_MODEL",
     "SPAN_CLASSIFY_BANK",
     "SPAN_DISCRIMINATE",
     "SPAN_EXTRACT",
@@ -32,7 +31,6 @@ __all__ = [
     "SPAN_TRAIN_TYPE",
     "SPAN_PARALLEL_MAP",
     "SPAN_PARALLEL_TASK",
-    "SPAN_SERVICE_REPORT",
     "SPAN_SERVICE_BATCH",
     "SPAN_TRANSPORT_SUBMIT",
     "SPAN_TRANSPORT_ATTEMPT",
@@ -78,13 +76,12 @@ __all__ = [
 
 # --- spans -------------------------------------------------------------------
 
-#: One full two-stage identification (Table IV "Type Identification").
+#: Both stages over one ``identify_batch`` call (Table IV "Type Identification").
 SPAN_IDENTIFY = "identify"
 #: Stage 1: the whole classifier-bank pass (Table IV "27 Classifications").
 SPAN_CLASSIFY = "identify.classify"
-#: One binary Random Forest's vote (Table IV "1 Classification").
-SPAN_CLASSIFY_MODEL = "identify.classify.model"
-#: One compiled-bank pass: every type's forest over the whole batch at once.
+#: One compiled-bank pass: every type's forest over the whole batch at once
+#: (divided by its ``types`` attribute: Table IV "1 Classification").
 SPAN_CLASSIFY_BANK = "identify.classify.bank"
 #: Stage 2: edit-distance discrimination (Table IV "Discrimination").
 SPAN_DISCRIMINATE = "identify.discriminate"
@@ -100,9 +97,8 @@ SPAN_TRAIN_TYPE = "train.type"
 SPAN_PARALLEL_MAP = "parallel.map"
 #: One work item inside ``parallel_map`` (carries worker-thread identity).
 SPAN_PARALLEL_TASK = "parallel.task"
-#: One ``IoTSecurityService.handle_report`` round trip.
-SPAN_SERVICE_REPORT = "service.handle_report"
-#: One ``IoTSecurityService.handle_reports`` batch (shared stage-1 pass).
+#: One ``IoTSecurityService.handle_reports`` batch (shared stage-1 pass);
+#: a single ``handle_report`` is a batch of one.
 SPAN_SERVICE_BATCH = "service.handle_reports"
 #: One ``ResilientTransport.submit`` call, retries included.
 SPAN_TRANSPORT_SUBMIT = "transport.submit"
@@ -112,7 +108,7 @@ SPAN_TRANSPORT_ATTEMPT = "transport.submit.attempt"
 SPAN_GATEWAY_BATCH = "gateway.process_batch"
 #: One HTTP request through the IoTSSP serving tier's router.
 SPAN_HTTP_REQUEST = "service.http.request"
-#: One consistent-hash routing decision (scalar or batch) in the sharded front.
+#: One consistent-hash routing fan-out of a batch in the sharded front.
 SPAN_SHARD_ROUTE = "service.shard.route"
 
 # --- metrics -----------------------------------------------------------------
@@ -190,7 +186,6 @@ SPAN_NAMES = frozenset(
     {
         SPAN_IDENTIFY,
         SPAN_CLASSIFY,
-        SPAN_CLASSIFY_MODEL,
         SPAN_CLASSIFY_BANK,
         SPAN_DISCRIMINATE,
         SPAN_EXTRACT,
@@ -199,7 +194,6 @@ SPAN_NAMES = frozenset(
         SPAN_TRAIN_TYPE,
         SPAN_PARALLEL_MAP,
         SPAN_PARALLEL_TASK,
-        SPAN_SERVICE_REPORT,
         SPAN_SERVICE_BATCH,
         SPAN_TRANSPORT_SUBMIT,
         SPAN_TRANSPORT_ATTEMPT,

@@ -6,10 +6,10 @@ operation the Security Gateway consumes: fingerprint in, isolation
 directive out.  New device types can be enrolled at runtime without
 retraining existing classifiers (the paper's scalability property).
 
-Instrumented with ``repro.obs``: each :meth:`~IoTSecurityService.handle_report`
-runs in a ``service.handle_report`` span, with counters for reports
-handled and directives issued per isolation level — see
-``docs/observability.md``.
+Instrumented with ``repro.obs``: each :meth:`~IoTSecurityService.handle_reports`
+batch runs in a ``service.handle_reports`` span (a single report is a
+batch of one), with counters for reports handled and directives issued
+per isolation level — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -108,37 +108,20 @@ class IoTSecurityService:
         )
 
     def handle_report(self, report: FingerprintReport) -> IsolationDirective:
-        """Identify the device type and return the isolation directive.
+        """Identify the device type and return the isolation directive."""
+        return self.handle_reports([report])[0]
+
+    def handle_reports(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
+        """Identify a batch of reports through one stage-1 bank pass.
 
         Deliberately ignores ``report.gateway_id`` beyond transport needs:
         the service stores nothing about its clients (Sect. III-B).
         """
-        with obs_span(obs_names.SPAN_SERVICE_REPORT) as span:
-            self.reports_handled += 1
-            obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc()
-            result = self.identifier.identify(report.fingerprint)
-            directive = self._directive_for(result.label)
-            span.set(device_type=result.label, level=directive.level.value)
-            return directive
-
-    def handle_reports(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
-        """Handle a batch of reports through one stage-1 bank pass.
-
-        Semantically identical to mapping :meth:`handle_report` over the
-        batch (``identify_batch`` is pinned against scalar ``identify``),
-        but stage 1 evaluates the whole classifier bank over all stacked
-        F' vectors at once — the fleet-scale path drained batches from
-        ``SentinelModule.process_batch`` take.
-        """
-        with obs_span(obs_names.SPAN_SERVICE_BATCH, batch=len(reports)) as span:
+        with obs_span(obs_names.SPAN_SERVICE_BATCH, batch=len(reports)):
             self.reports_handled += len(reports)
             obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc(len(reports))
-            results = self.identifier.identify_batch(
-                [report.fingerprint for report in reports]
-            )
-            directives = [self._directive_for(result.label) for result in results]
-            span.set(batch=len(reports))
-            return directives
+            results = self.identifier.identify_batch([report.fingerprint for report in reports])
+            return [self._directive_for(result.label) for result in results]
 
     def directive_for_type(self, device_type: str) -> IsolationDirective:
         """Issue a directive for an already-identified type (no classification).

@@ -317,12 +317,7 @@ class ShardedSecurityService:
 
     def handle_report(self, report: FingerprintReport) -> IsolationDirective:
         """Route one report to its owning shard and serve it there."""
-        with obs_span(obs_names.SPAN_SHARD_ROUTE) as span:
-            shard_id = self.ring.route(self._routing_key(report))
-            span.set(shard=shard_id)
-            shard = self._live_shard(shard_id)
-            obs_counter(obs_names.METRIC_SHARD_REPORTS, shard=shard_id).inc()
-            return shard.handle_report(report)
+        return self.handle_reports([report])[0]
 
     def handle_reports(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
         """Fan a batch out per shard, reassemble in submission order.

@@ -24,6 +24,7 @@ from repro.core import (
     RateDropDetector,
     SetupPhaseDetector,
     batch_features,
+    dedupe_consecutive,
     fingerprint_from_records,
     fingerprint_from_records_batch,
     packet_features,
@@ -262,6 +263,12 @@ class TestFingerprintParity:
         a = Fingerprint.from_vectors(list(rows), device_mac=MAC)
         b = Fingerprint.from_matrix(rows, device_mac=MAC)
         assert a == b
+        # Oracle: the per-vector dedup loop of the paper's definition.
+        assert b.packets == tuple(tuple(v.tolist()) for v in dedupe_consecutive(list(rows)))
+        rows[8:10] = np.nan  # NaN never equals its predecessor
+        kept = dedupe_consecutive(list(rows))
+        assert len(Fingerprint.from_vectors(list(rows)).packets) == len(kept)
+        assert len(Fingerprint.from_matrix(rows).packets) == len(kept)
         assert Fingerprint.from_matrix(np.zeros((0, NUM_FEATURES))).packets == ()
         with pytest.raises(ValueError):
             Fingerprint.from_matrix(np.zeros((2, NUM_FEATURES - 1)))

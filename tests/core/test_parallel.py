@@ -3,7 +3,7 @@
 The contract under test: worker count, training order, and fit-vs-add_type
 never change a trained model — only wall-clock time.  The helpers live in
 ``repro.ml.parallel`` (the layer below core) and are re-exported from
-``repro.core`` / ``repro.core.parallel`` for compatibility.
+``repro.core``.
 """
 
 import json
@@ -25,15 +25,6 @@ from repro.ml.forest import RandomForestClassifier
 from repro.ml.serialize import forest_to_dict
 
 from .test_registry_identifier import synthetic_registry
-
-
-class TestCompatibilityShim:
-    def test_core_parallel_reexports_ml_parallel(self):
-        import repro.core.parallel as core_parallel
-        import repro.ml.parallel as ml_parallel
-
-        for name in ml_parallel.__all__:
-            assert getattr(core_parallel, name) is getattr(ml_parallel, name)
 
 
 class TestResolveNJobs:

@@ -3,9 +3,10 @@
 ``Fingerprint.fixed`` builds ``F'`` straight from the packet tuples and
 must equal ``fixed_vector(fp.rows, n)`` byte for byte, NaN rows included.
 ``DeviceIdentifier.classify_batch`` reads every candidate list off one
-``np.nonzero`` over the accepted (fingerprint, type) matrix and must give
-the lists, label order included, that a per-forest ``flatnonzero`` loop
-gives on the lab corpus.
+``np.nonzero`` over the compiled bank's accepted (fingerprint, type)
+matrix and must give the lists, label order included, that a loop over
+each type's interpreted forest gives on the lab corpus — in any batch,
+a batch of one included.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import NUM_FEATURES, DeviceIdentifier, Fingerprint, fixed_vector
 from repro.devices import DEVICE_PROFILES, collect_dataset
+from tests.oracles import interpreted_candidates
 
 SHARED_NAN = float("nan")
 
@@ -106,24 +108,11 @@ def lab():
     corpus = collect_dataset(DEVICE_PROFILES, runs_per_device=10, seed=2017)
     identifier = DeviceIdentifier(random_state=5).fit(corpus)
     probes = [fp for label in corpus.labels for fp in corpus.fingerprints(label)]
-    return identifier, probes
-
-
-def reference_candidates(identifier, fingerprints):
-    """One ``flatnonzero`` per forest over ``fixed_vector`` rows."""
-    stacked = np.vstack([fixed_vector(fp.rows, identifier.fp_length) for fp in fingerprints])
-    bank = identifier._compiled_bank()
-    positive = bank.positive_proba(stacked)
-    candidates = [[] for _ in fingerprints]
-    for j, label in enumerate(bank.labels):
-        for row in np.flatnonzero(positive[:, j] >= identifier.accept_threshold):
-            candidates[int(row)].append(label)
-    return candidates
+    return identifier, probes, interpreted_candidates(identifier, probes)
 
 
 def test_classify_batch_matches_per_forest_loop(lab):
-    identifier, probes = lab
-    expected = reference_candidates(identifier, probes)
+    identifier, probes, expected = lab
     assert sum(len(c) > 1 for c in expected) >= 20, "the corpus should yield multi-candidate rows"
     assert identifier.classify_batch(probes) == expected
     for start in range(0, 64, 4):
@@ -131,10 +120,6 @@ def test_classify_batch_matches_per_forest_loop(lab):
         assert identifier.classify_batch(batch) == expected[start : start + 4]
 
 
-def test_interpreted_path_gives_the_same_lists(lab):
-    identifier, probes = lab
-    identifier.compiled = False
-    try:
-        assert identifier.classify_batch(probes) == reference_candidates(identifier, probes)
-    finally:
-        identifier.compiled = True
+def test_batch_of_one_gives_the_same_lists(lab):
+    identifier, probes, expected = lab
+    assert [identifier.classify(fp) for fp in probes] == expected

@@ -35,32 +35,39 @@ class TestIdentifyPath:
         assert {names.SPAN_IDENTIFY, names.SPAN_CLASSIFY,
                 names.SPAN_CLASSIFY_BANK} <= spans
         # One bank span under the classify span, which itself nests under
-        # the single identify root (compiled stage 1, the default).
+        # the single identify root: a scalar identify is a batch of one.
         (root,) = provider.tracer.records_named(names.SPAN_IDENTIFY)
         assert root.parent_id is None
-        assert root.attributes["label"] == result.label
+        assert root.attributes == {
+            "batch": 1,
+            "unknown": int(result.is_unknown),
+            "discriminated": int(result.used_discrimination),
+        }
         (classify,) = provider.tracer.records_named(names.SPAN_CLASSIFY)
         assert classify.parent_id == root.span_id
         (bank,) = provider.tracer.records_named(names.SPAN_CLASSIFY_BANK)
         assert bank.parent_id == classify.span_id
-        assert bank.attributes["types"] == len(small_identifier.labels)
+        assert bank.attributes == {"batch": 1, "types": len(small_identifier.labels)}
 
-    def test_interpreted_path_emits_per_model_spans(
-        self, small_registry, small_identifier
-    ):
-        probe = small_registry.fingerprints(small_registry.labels[0])[0]
+    def test_identify_batch_span_counts_outcomes(self, small_registry, small_identifier):
+        probes = [fp for label in small_registry.labels for fp in small_registry.fingerprints(label)]
         provider = RecordingProvider()
-        small_identifier.compiled = False
-        try:
-            with use_provider(provider):
-                small_identifier.identify(probe)
-        finally:
-            small_identifier.compiled = True
-        # One model span per known type, all under the classify span.
-        (classify,) = provider.tracer.records_named(names.SPAN_CLASSIFY)
-        models = provider.tracer.records_named(names.SPAN_CLASSIFY_MODEL)
-        assert len(models) == len(small_identifier.labels)
-        assert {m.parent_id for m in models} == {classify.span_id}
+        with use_provider(provider):
+            results = small_identifier.identify_batch(probes)
+        # One root per batch, one bank pass under it, one discrimination
+        # span per multi-candidate fingerprint.
+        (root,) = provider.tracer.records_named(names.SPAN_IDENTIFY)
+        assert root.attributes == {
+            "batch": len(probes),
+            "unknown": sum(r.is_unknown for r in results),
+            "discriminated": sum(r.used_discrimination for r in results),
+        }
+        assert root.attributes["discriminated"] > 0
+        (bank,) = provider.tracer.records_named(names.SPAN_CLASSIFY_BANK)
+        assert bank.attributes["batch"] == len(probes)
+        discriminations = provider.tracer.records_named(names.SPAN_DISCRIMINATE)
+        assert len(discriminations) == root.attributes["discriminated"]
+        assert {d.parent_id for d in discriminations} == {root.span_id}
 
     def test_identification_counter_labelled_by_outcome(
         self, small_registry, small_identifier
@@ -116,9 +123,10 @@ class TestServicePath:
         provider = RecordingProvider()
         with use_provider(provider):
             directive = service.handle_report(FingerprintReport(fingerprint=probe))
-        (root,) = provider.tracer.records_named(names.SPAN_SERVICE_REPORT)
+        # A single report is a batch of one: the batch span is the root.
+        (root,) = provider.tracer.records_named(names.SPAN_SERVICE_BATCH)
         assert root.parent_id is None
-        assert root.attributes["level"] == directive.level.value
+        assert root.attributes == {"batch": 1}
         (identify,) = provider.tracer.records_named(names.SPAN_IDENTIFY)
         assert identify.parent_id == root.span_id
         snap = metrics_snapshot(provider.metrics)

@@ -1,11 +1,16 @@
-"""Differential harness: compiled forests vs. the interpreted reference.
+"""Oracle harness: the compiled bank vs. the interpreted forests.
 
-The compiled path (``repro.ml.compiled``) promises *byte-identical*
-``predict_proba`` output — not ``allclose``, bitwise equality via
-``np.array_equal`` — for any fitted forest and any batch.  These tests
-sweep seeded randomized corpora across tree counts, depths, class
-layouts, and degenerate single-class forests so a compiled-path
-regression fails loudly and minimally.
+``CompiledBank.positive_proba`` — the only stage-1 inference path —
+promises columns *byte-identical* to each forest's interpreted
+``predict_proba`` positive column: not ``allclose``, bitwise equality via
+``np.array_equal``, for any fitted forest and any batch.  The sweeps over
+tree counts, depths, NaN inputs and batch shapes run a one-forest bank
+against its forest.  Every forest is also round-tripped through
+``compile_forest``/``forest_from_flat`` (the npz model store's path),
+which must reproduce the full ``predict_proba``; the multiclass and
+degenerate single-class layouts, which the bank does not serve, are
+checked that way.  A compiled-path regression fails loudly and
+minimally.
 """
 
 import numpy as np
@@ -26,15 +31,29 @@ def make_corpus(seed, n=120, d=30, classes=2, integer=True):
     return x, y
 
 
-def assert_bit_identical(forest, x):
-    compiled = compile_forest(forest)
+def assert_round_trip(forest, x):
+    """``forest_from_flat(compile_forest(f))`` predicts exactly as ``f``."""
+    rebuilt = forest_from_flat(compile_forest(forest))
     reference = forest.predict_proba(x)
-    fast = compiled.predict_proba(x)
+    fast = rebuilt.predict_proba(x)
     assert fast.dtype == reference.dtype
     assert np.array_equal(fast, reference, equal_nan=True), (
-        "compiled predict_proba diverged from the interpreted forest"
+        "compiled forest diverged from the interpreted forest"
     )
-    assert np.array_equal(compiled.predict(x), forest.predict(x))
+    assert np.array_equal(rebuilt.predict(x), forest.predict(x))
+
+
+def assert_bit_identical(forest, x):
+    """A one-forest bank's column equals the forest's positive column."""
+    bank = CompiledBank([("only", forest)])
+    positive = list(forest.classes_).index(True)
+    fast = bank.positive_proba(x)
+    assert fast.shape == (len(x), 1)
+    assert fast.dtype == np.float64
+    assert np.array_equal(fast[:, 0], forest.predict_proba(x)[:, positive]), (
+        "compiled bank diverged from the interpreted forest"
+    )
+    assert_round_trip(forest, x)
 
 
 class TestCompiledForestDifferential:
@@ -67,15 +86,16 @@ class TestCompiledForestDifferential:
     def test_multiclass(self, classes):
         x, y = make_corpus(9, classes=classes)
         forest = RandomForestClassifier(n_estimators=8, random_state=9).fit(x, y)
-        assert_bit_identical(forest, x)
+        assert_round_trip(forest, x)
 
     def test_degenerate_single_class_forest(self):
         x, _ = make_corpus(11, n=40)
         y = np.zeros(40, dtype=bool)  # only the negative class exists
         forest = RandomForestClassifier(n_estimators=5, random_state=11).fit(x, y)
-        assert_bit_identical(forest, x)
-        compiled = compile_forest(forest)
-        assert np.array_equal(compiled.predict_proba(x), np.ones((40, 1)))
+        assert_round_trip(forest, x)
+        rebuilt = forest_from_flat(compile_forest(forest))
+        assert np.array_equal(rebuilt.predict_proba(x), np.ones((40, 1)))
+        assert CompiledBank([("negative", forest)]).positive_proba(x).shape == (40, 0)
 
     def test_boolean_classes_as_trained_by_identifier(self):
         x, y = make_corpus(13)
@@ -95,8 +115,8 @@ class TestCompiledForestDifferential:
     def test_empty_batch(self):
         x, y = make_corpus(19)
         forest = RandomForestClassifier(n_estimators=4, random_state=19).fit(x, y)
-        out = compile_forest(forest).predict_proba(x[:0])
-        assert out.shape == (0, 2)
+        assert CompiledBank([("only", forest)]).positive_proba(x[:0]).shape == (0, 1)
+        assert forest_from_flat(compile_forest(forest)).predict_proba(x[:0]).shape == (0, 2)
 
     def test_single_row_batch(self):
         x, y = make_corpus(29)
@@ -119,7 +139,9 @@ class TestRoundTripDecompile:
         forest = RandomForestClassifier(n_estimators=5, random_state=3).fit(x, y)
         once = compile_forest(forest)
         twice = compile_forest(forest_from_flat(once))
-        assert np.array_equal(once.predict_proba(x), twice.predict_proba(x))
+        for field in ("feature", "threshold", "left", "right", "proba", "tree_roots", "classes_"):
+            assert np.array_equal(getattr(once, field), getattr(twice, field)), field
+        assert once.max_depth == twice.max_depth
 
 
 class TestCompiledBankDifferential:

@@ -1,8 +1,8 @@
 """SL009: scalar/batch twin APIs must change together.
 
-The repo's batch paths (``add_batch``, ``observe_batch``,
-``classify_batch``, the compiled forest bank) are pinned byte-identical
-to their scalar twins by differential tests — but those only fail at
+The repo's stage-0 batch paths (``add_batch``, ``observe_batch``) are
+pinned byte-identical to their per-packet scalar twins by differential
+tests — but those only fail at
 test time.  This checker makes the coupling visible at *lint* time via
 ``tools/sentinel_lint/parity.json``, a lockfile of AST content hashes
 for every declared twin pair:

@@ -1,8 +1,7 @@
 """Declared scalar/batch parity manifest with AST content hashes.
 
-The repo's twin APIs (``add``/``add_batch``, ``observe``/``observe_batch``,
-``classify``/``classify_batch``, interpreted/compiled forests) are pinned
-byte-identical by differential tests — but a test only fails when it
+The repo's twin APIs (``add``/``add_batch``, ``observe``/``observe_batch``)
+are pinned byte-identical by differential tests — but a test only fails when it
 *runs*; nothing at review time says "you changed the scalar path, did you
 look at the batch path?".  The manifest makes that contract a lockfile:
 
