@@ -41,9 +41,9 @@ class CannedService:
     def __init__(self):
         self.reports = []
 
-    def handle_report(self, report):
-        self.reports.append(report)
-        return IsolationDirective(device_type="Dev", level=IsolationLevel.TRUSTED)
+    def handle_reports(self, reports):
+        self.reports.extend(reports)
+        return [IsolationDirective(device_type="Dev", level=IsolationLevel.TRUSTED) for _ in reports]
 
 
 def profile_device(gateway, mac, ip, start):

@@ -149,13 +149,10 @@ def _run_phase(server, probes_per_worker, *, batch_size=None) -> dict:
                     latencies[index] += [time.perf_counter() - started]
                     check(index, gateway_id, directive)
             else:
-                # The batched endpoint, driven directly (the resilient
-                # wrapper intentionally degrades batches to per-report
-                # submits to keep breaker semantics; see resilience.py).
                 for start in range(0, len(probes), batch_size):
                     chunk = probes[start : start + batch_size]
                     started = time.perf_counter()
-                    directives = transport.inner.submit_many(
+                    directives = transport.submit_many(
                         [FingerprintReport(fingerprint=p) for p in chunk]
                     )
                     latencies[index] += [time.perf_counter() - started]

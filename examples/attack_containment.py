@@ -22,8 +22,8 @@ from repro.securityservice import DirectTransport, IsolationDirective
 class _StaticService:
     """The IoTSSP is irrelevant here: devices are pre-authorized."""
 
-    def handle_report(self, report):
-        return IsolationDirective(device_type="n/a", level=IsolationLevel.STRICT)
+    def handle_reports(self, reports):
+        return [IsolationDirective(device_type="n/a", level=IsolationLevel.STRICT) for _ in reports]
 
 
 COMPROMISED = "aa:00:00:00:00:01"

@@ -328,9 +328,12 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         def __init__(self) -> None:
             self.reports = 0
 
-        def handle_report(self, report):
-            self.reports += 1
-            return IsolationDirective(device_type="demo-device", level=IsolationLevel.TRUSTED)
+        def handle_reports(self, reports):
+            self.reports += len(reports)
+            return [
+                IsolationDirective(device_type="demo-device", level=IsolationLevel.TRUSTED)
+                for _ in reports
+            ]
 
     clock = ManualClock()
     policy = RetryPolicy(

@@ -185,10 +185,13 @@ class SecurityGateway:
 
         The batched counterpart of the per-packet ``complete_profiling``
         path: drains the monitor's completion buffer, pushes the whole
-        batch through ``SentinelModule.process_batch`` (one compiled-bank
-        stage-1 pass on a plain transport), then flushes each answered
-        device's flow rules so its directive replaces the default-deny
-        entries installed while it waited.  Returns directive-per-MAC.
+        batch through ``SentinelModule.process_batch`` (one
+        ``submit_many`` on any transport: one HTTP request, one
+        compiled-bank stage-1 pass), then flushes each answered device's
+        flow rules so its directive replaces the default-deny entries
+        installed while it waited.  A batch that keeps failing is
+        bisected, so only the devices whose reports fail degrade.
+        Returns directive-per-MAC.
         """
         events = self.monitor.drain_completed()
         if self.sentinel is None or not events:

@@ -28,6 +28,7 @@ from repro.sdn.openflow import Action, FlowMatch, FlowRule, PacketIn
 from repro.sdn.overlay import IsolationLevel, OverlayManager, PolicyDecision
 from repro.sdn.rules import EnforcementRule, EnforcementRuleCache
 from repro.securityservice.protocol import FingerprintReport, IsolationDirective, Transport
+from repro.securityservice.resilience import CircuitOpenError
 
 from .audit import AuditEventType, AuditLog
 from .monitor import DeviceMonitor, MonitorEvent
@@ -118,12 +119,39 @@ class SentinelModule(ControllerModule):
 
     # --- profiling lifecycle ------------------------------------------------
 
-    def _submit(self, fingerprint: object, now: float) -> IsolationDirective:
-        """Send one report; threads ``now`` into time-aware transports."""
-        report = FingerprintReport(fingerprint=fingerprint)
-        if getattr(self.transport, "timeful", False):
-            return self.transport.submit(report, now=now)
-        return self.transport.submit(report)
+    def _report(
+        self, fingerprints: dict[str, object], now: float
+    ) -> dict[str, IsolationDirective | Exception]:
+        """Submit fingerprints (MAC → fingerprint) in as few exchanges as possible.
+
+        The whole batch goes out as one ``transport.submit_many``.  A
+        batch that still fails after the transport's own retries is
+        bisected and each half resubmitted, down to single reports, so a
+        report the service rejects fails only its own device.  A
+        :class:`CircuitOpenError` stops the bisection: the breaker refused
+        the exchange, so every device not yet answered fails with it and
+        no further attempts are made.  Returns each MAC's directive, or
+        the exception that failed it, in input order.
+        """
+        outcomes: dict[str, IsolationDirective | Exception] = {}
+        chunks = [list(fingerprints.items())] if fingerprints else []
+        while chunks:
+            chunk = chunks.pop()
+            reports = [FingerprintReport(fingerprint=fp) for _, fp in chunk]
+            try:
+                answers = self.transport.submit_many(reports, now=now)
+            except CircuitOpenError as exc:
+                # The breaker refused the exchange: fail everything unanswered.
+                return {mac: outcomes.get(mac, exc) for mac in fingerprints}
+            except Exception as exc:  # degraded mode — classified upstream
+                if len(chunk) == 1:
+                    outcomes[chunk[0][0]] = exc
+                else:
+                    half = len(chunk) // 2
+                    chunks += (chunk[half:], chunk[:half])  # left half first
+                continue
+            outcomes.update(zip((mac for mac, _ in chunk), answers))
+        return {mac: outcomes[mac] for mac in fingerprints}
 
     def _apply_directive(self, mac: str, directive: IsolationDirective, now: float) -> None:
         """Install a directive's enforcement state (rule cache + overlay)."""
@@ -197,35 +225,40 @@ class SentinelModule(ControllerModule):
         )
         return directive
 
+    def _settle(
+        self, mac: str, outcome: IsolationDirective | Exception, now: float
+    ) -> IsolationDirective:
+        """Enforce a submit's outcome: the answer, or degraded quarantine."""
+        if isinstance(outcome, Exception):
+            return self._enter_degraded(mac, now, outcome)
+        self._accept_directive(mac, outcome, now)
+        return outcome
+
     def complete_profiling(self, event: MonitorEvent, now: float = 0.0) -> IsolationDirective:
         """A profiling session finished: report it and enforce the answer.
 
+        A batch of one through the same path as :meth:`process_batch`.
         Never loses work: if the submit fails the fingerprint is queued
         and the returned directive is a provisional STRICT quarantine;
         :meth:`retry_pending` upgrades it once the service recovers.
         """
         mac = event.device_mac
         self._fingerprints[mac] = event.fingerprint
-        try:
-            directive = self._submit(event.fingerprint, now)
-        except Exception as exc:  # degraded mode — classified upstream
-            return self._enter_degraded(mac, now, exc)
-        self._accept_directive(mac, directive, now)
-        return directive
+        outcomes = self._report({mac: event.fingerprint}, now)
+        return self._settle(mac, outcomes[mac], now)
 
     def process_batch(
         self, events: list[MonitorEvent], now: float = 0.0
     ) -> dict[str, IsolationDirective]:
         """Report a drained batch of completed profilings in one round trip.
 
-        Plain transports carry the whole batch via ``submit_many`` (one
-        ``service.handle_reports`` call, one compiled-bank stage-1 pass);
-        time-aware transports (the resilient path) and any batch-level
-        failure fall back to per-event :meth:`complete_profiling`, which
-        preserves per-device degraded-mode isolation — one unreachable
-        submit quarantines only its own device.  Returns the directive
-        enforced per MAC; callers must flush those MACs' flow rules so the
-        new policy replaces the pre-drain default-deny entries.
+        The whole batch is one ``transport.submit_many`` (one HTTP
+        request, one compiled-bank stage-1 pass).  If it fails, the batch
+        is bisected (see :meth:`_report`) so each failing device alone
+        gets a provisional STRICT quarantine and a pending report.
+        Returns the directive enforced per MAC; callers must flush those
+        MACs' flow rules so the new policy replaces the pre-drain
+        default-deny entries.
         """
         if not events:
             return {}
@@ -233,24 +266,10 @@ class SentinelModule(ControllerModule):
             obs_counter(obs_names.METRIC_GATEWAY_BATCHES).inc()
             for event in events:
                 self._fingerprints[event.device_mac] = event.fingerprint
-            directives: dict[str, IsolationDirective] = {}
-            submit_many = getattr(self.transport, "submit_many", None)
-            if submit_many is not None and not getattr(self.transport, "timeful", False):
-                reports = [
-                    FingerprintReport(fingerprint=event.fingerprint) for event in events
-                ]
-                try:
-                    answers = submit_many(reports)
-                except Exception:
-                    answers = None  # degrade to the per-event path below
-                if answers is not None:
-                    for event, directive in zip(events, answers):
-                        self._accept_directive(event.device_mac, directive, now)
-                        directives[event.device_mac] = directive
-                    return directives
-            for event in events:
-                directives[event.device_mac] = self.complete_profiling(event, now=now)
-            return directives
+            outcomes = self._report(
+                {event.device_mac: event.fingerprint for event in events}, now
+            )
+            return {mac: self._settle(mac, outcome, now) for mac, outcome in outcomes.items()}
 
     @property
     def pending_report_count(self) -> int:
@@ -265,18 +284,21 @@ class SentinelModule(ControllerModule):
     def retry_pending(self, now: float) -> list[str]:
         """Re-submit queued fingerprints; returns the MACs finalized.
 
-        Per-device isolation: one failure (or an open circuit breaker)
-        skips that device and the sweep continues.  Callers must flush
-        the returned MACs' flow rules so the upgraded policy applies.
+        All queued reports go out as one batch (bisected on failure, see
+        :meth:`_report`): a device whose report still fails stays queued
+        and the rest are finalized.  Callers must flush the returned
+        MACs' flow rules so the upgraded policy applies.
         """
+        macs = sorted(self.pending_reports)
+        outcomes = self._report(
+            {mac: self.pending_reports[mac].fingerprint for mac in macs}, now
+        )
         recovered: list[str] = []
-        for mac in sorted(self.pending_reports):
-            pending = self.pending_reports[mac]
-            try:
-                directive = self._submit(pending.fingerprint, now)
-            except Exception as exc:
+        for mac in macs:
+            pending, outcome = self.pending_reports[mac], outcomes[mac]
+            if isinstance(outcome, Exception):
                 pending.attempts += 1
-                pending.last_error = f"{type(exc).__name__}: {exc}"
+                pending.last_error = f"{type(outcome).__name__}: {outcome}"
                 continue
             del self.pending_reports[mac]
             self.reports_recovered += 1
@@ -286,9 +308,9 @@ class SentinelModule(ControllerModule):
                 AuditEventType.REPORT_RECOVERED,
                 mac,
                 f"accepted after {pending.attempts} failed submit(s); "
-                f"type={directive.device_type} level={directive.level.value}",
+                f"type={outcome.device_type} level={outcome.level.value}",
             )
-            self._accept_directive(mac, directive, now)
+            self._accept_directive(mac, outcome, now)
             recovered.append(mac)
         obs_gauge(obs_names.METRIC_PENDING_REPORTS).set(float(len(self.pending_reports)))
         return recovered
@@ -327,24 +349,25 @@ class SentinelModule(ControllerModule):
         whose isolation level or allow-list actually changed; their flow
         rules must be flushed by the caller so new policy takes effect.
         """
-        changed: list[str] = []
-        for mac, directive in list(self.directives.items()):
+        due: dict[str, object] = {}
+        for mac, directive in self.directives.items():
             if mac in self.pending_reports:
                 continue  # degraded-mode device: retry_pending owns its submits
             issued = self._directive_times.get(mac, 0.0)
             if not force and now - issued < directive.ttl_seconds:
                 continue
             fingerprint = self._fingerprints.get(mac)
-            if fingerprint is None:
-                continue
-            try:
-                fresh = self._submit(fingerprint, now)
-            except Exception:
-                # One bad submit must not abort the sweep: keep the current
+            if fingerprint is not None:
+                due[mac] = fingerprint
+        changed: list[str] = []
+        for mac, fresh in self._report(due, now).items():
+            if isinstance(fresh, Exception):
+                # A failed submit must not abort the sweep: keep the current
                 # directive (and its issue time, so the next sweep retries)
                 # and move on to the other devices.
                 obs_counter(obs_names.METRIC_REFRESH_SKIPPED).inc()
                 continue
+            directive = self.directives[mac]
             self._directive_times[mac] = now
             if (
                 fresh.level is directive.level

@@ -100,9 +100,9 @@ SPAN_PARALLEL_TASK = "parallel.task"
 #: One ``IoTSecurityService.handle_reports`` batch (shared stage-1 pass);
 #: a single ``handle_report`` is a batch of one.
 SPAN_SERVICE_BATCH = "service.handle_reports"
-#: One ``ResilientTransport.submit`` call, retries included.
+#: One ``ResilientTransport.submit_many`` exchange (a whole batch), retries included.
 SPAN_TRANSPORT_SUBMIT = "transport.submit"
-#: One attempt within a resilient submit (nests under ``transport.submit``).
+#: One attempt within a resilient exchange (nests under ``transport.submit``).
 SPAN_TRANSPORT_ATTEMPT = "transport.submit.attempt"
 #: One ``SentinelModule.process_batch`` call over drained completions.
 SPAN_GATEWAY_BATCH = "gateway.process_batch"

@@ -20,7 +20,7 @@ from repro.sdn.rules import EnforcementRule
 class _NullService:
     """Stand-in IoTSSP for experiments that never profile a device."""
 
-    def handle_report(self, report):  # pragma: no cover - never called
+    def handle_reports(self, reports):  # pragma: no cover - never called
         raise AssertionError("performance experiments pre-authorize devices")
 
 

@@ -70,6 +70,10 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
+    # socketserver's default listen backlog is 5: a burst of more
+    # concurrent gateways overflows it, the kernel drops their SYNs and
+    # each one stalls for the 1 s SYN retransmit.
+    request_queue_size = 128
     allow_reuse_address = True
 
     def handle_error(self, request, client_address) -> None:

@@ -49,7 +49,14 @@ class IsolationDirective:
 
 
 class Transport:
-    """Carries a report to a service object and a directive back."""
+    """Carries reports to a service object and directives back.
+
+    Every transport has one real operation, :meth:`submit_many`: a batch
+    of reports out, one directive per report back, in one exchange.  A
+    single report is a batch of one.  ``now`` is the caller's clock
+    reading (simulation timestamps in the gateway); wrappers that keep
+    time, such as ``ResilientTransport``, use it and the rest ignore it.
+    """
 
     #: Simulated one-way latency in seconds (used by netsim experiments).
     latency: float = 0.0
@@ -57,21 +64,21 @@ class Transport:
     def __init__(self, service: "object") -> None:
         self._service = service
 
-    def submit(self, report: FingerprintReport) -> IsolationDirective:
-        return self._service.handle_report(report)
+    def submit(
+        self, report: FingerprintReport, *, now: float | None = None
+    ) -> IsolationDirective:
+        """Carry one report: a batch of one through :meth:`submit_many`."""
+        return self.submit_many([report], now=now)[0]
 
-    def submit_many(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
-        """Carry a whole profiling batch in one round trip.
+    def submit_many(
+        self, reports: list[FingerprintReport], *, now: float | None = None
+    ) -> list[IsolationDirective]:
+        """Carry a whole batch in one round trip.
 
-        Delegates to the service's batched ``handle_reports`` (one
-        compiled-bank stage-1 pass) when it offers one, else falls back to
-        per-report submits.  Either way the directives are positionally
-        aligned with ``reports`` and identical to scalar submits.
+        One ``service.handle_reports`` call (one compiled-bank stage-1
+        pass); the directives are positionally aligned with ``reports``.
         """
-        handle_reports = getattr(self._service, "handle_reports", None)
-        if handle_reports is not None:
-            return handle_reports(list(reports))
-        return [self.submit(report) for report in reports]
+        return self._service.handle_reports(list(reports))
 
 
 class DirectTransport(Transport):
@@ -85,10 +92,9 @@ class AnonymizingTransport(Transport):
 
     latency = 0.350
 
-    def submit(self, report: FingerprintReport) -> IsolationDirective:
-        return super().submit(replace(report, gateway_id=None))
-
-    def submit_many(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
+    def submit_many(
+        self, reports: list[FingerprintReport], *, now: float | None = None
+    ) -> list[IsolationDirective]:
         return super().submit_many(
-            [replace(report, gateway_id=None) for report in reports]
+            [replace(report, gateway_id=None) for report in reports], now=now
         )

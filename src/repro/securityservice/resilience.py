@@ -139,9 +139,9 @@ class ManualClock:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Knobs for one resilient submit: attempts, backoff shape, budget."""
+    """Knobs for one resilient exchange: attempts, backoff shape, budget."""
 
-    #: Total tries per ``submit`` call (first attempt + retries).
+    #: Total tries per exchange (first attempt + retries).
     max_attempts: int = 4
     #: Backoff before retry *n* (n ≥ 1) is ``base_delay * multiplier**(n-1)``,
     #: capped at ``max_delay``, then jittered.
@@ -183,7 +183,7 @@ def backoff_delay(policy: RetryPolicy, seed: int, call: int, attempt: int) -> fl
 
 
 def backoff_schedule(policy: RetryPolicy, seed: int, call: int = 0) -> tuple[float, ...]:
-    """The full delay sequence one ``submit`` call would sleep through."""
+    """The full delay sequence one exchange would sleep through."""
     return tuple(
         backoff_delay(policy, seed, call, attempt)
         for attempt in range(1, policy.max_attempts)
@@ -301,21 +301,21 @@ class CircuitBreaker:
 class ResilientTransport(Transport):
     """A :class:`Transport` that survives a flaky service.
 
-    Wraps any inner transport; each :meth:`submit` makes up to
-    ``policy.max_attempts`` tries, sleeping the deterministic jittered
+    Wraps any inner transport.  Each :meth:`submit_many` is one resilient
+    exchange carrying the whole batch: up to ``policy.max_attempts``
+    tries of ``inner.submit_many``, sleeping the deterministic jittered
     backoff between them on the injected clock, classifying failures via
     :func:`is_retryable`, enforcing the per-attempt latency budget, and
-    consulting the circuit breaker before every attempt.  The sequence of
-    backoff delays actually slept is appended to :attr:`backoff_log`, so
-    two runs with the same seed produce byte-identical schedules.
+    consulting the circuit breaker before every attempt.  The batch is
+    retried as a unit, and the breaker counts one success or failure per
+    attempt, whatever the batch size.  Splitting a batch that keeps
+    failing is the caller's job (the gateway bisects it).  The sequence
+    of backoff delays actually slept is appended to :attr:`backoff_log`,
+    so two runs with the same seed produce byte-identical schedules.
 
-    ``submit(report, now=...)`` accepts the caller's notion of current
-    time (simulation timestamps in the gateway); plain transports do not,
-    which :attr:`timeful` advertises to callers.
+    ``now`` is the caller's notion of current time (simulation
+    timestamps in the gateway); the clock is advanced to it first.
     """
-
-    #: Marker for callers that can thread a timestamp into ``submit``.
-    timeful = True
 
     def __init__(
         self,
@@ -340,12 +340,19 @@ class ResilientTransport(Transport):
     def latency(self) -> float:  # type: ignore[override]
         return self.inner.latency
 
-    def submit(self, report: FingerprintReport, *, now: float | None = None) -> IsolationDirective:
+    # Bound on the class itself, not inherited, so tracers that patch
+    # ``ResilientTransport.submit`` (perfbench) find it.
+    submit = Transport.submit
+
+    def submit_many(
+        self, reports: list[FingerprintReport], *, now: float | None = None
+    ) -> list[IsolationDirective]:
+        batch = list(reports)
         if now is not None:
             self.clock.advance_to(now)
         call = self.submits
         self.submits += 1
-        with obs_span(obs_names.SPAN_TRANSPORT_SUBMIT, call=call) as span:
+        with obs_span(obs_names.SPAN_TRANSPORT_SUBMIT, call=call, batch=len(batch)) as span:
             last_fault: Exception | None = None
             for attempt in range(self.policy.max_attempts):
                 if not self.breaker.allow(self.clock.now()):
@@ -363,7 +370,7 @@ class ResilientTransport(Transport):
                 started = self.clock.now()
                 try:
                     with obs_span(obs_names.SPAN_TRANSPORT_ATTEMPT, call=call, attempt=attempt):
-                        directive = self.inner.submit(report)
+                        directives = self.inner.submit_many(batch)
                 except Exception as exc:
                     if not is_retryable(exc):
                         obs_counter(obs_names.METRIC_TRANSPORT_FAULTS, kind="fatal").inc()
@@ -386,24 +393,16 @@ class ResilientTransport(Transport):
                     continue
                 self.breaker.record_success(self.clock.now())
                 span.set(outcome="ok", attempts=attempt + 1)
-                return directive
+                return directives
             span.set(outcome="exhausted", attempts=self.policy.max_attempts)
             raise last_fault if last_fault is not None else ServiceUnavailable("no attempts made")
-
-    def submit_many(
-        self, reports: list[FingerprintReport], *, now: float | None = None
-    ) -> list[IsolationDirective]:
-        """Per-report resilient submits — retries and the breaker apply to
-        each report individually, so one device's outage cannot poison the
-        rest of a batch with a shared failure."""
-        return [self.submit(report, now=now) for report in reports]
 
 
 # --- fault injection ---------------------------------------------------------
 
 
 class FaultKind(Enum):
-    """What a scripted fault does to one submit."""
+    """What a scripted fault does to one exchange."""
 
     OK = "ok"
     ERROR = "error"
@@ -444,9 +443,10 @@ class Fault:
 class FaultInjectingTransport(Transport):
     """Transport wrapper that replays a scripted failure schedule.
 
-    One :class:`Fault` is consumed per ``submit``; when the schedule is
-    exhausted the transport passes through cleanly (the service has
-    "recovered").  Latency spikes advance the shared :class:`ManualClock`
+    One :class:`Fault` is consumed per exchange (one ``submit_many``
+    call, whatever its batch size; ``submit`` is a batch of one); when
+    the schedule is exhausted the transport passes through cleanly (the
+    service has "recovered").  Latency spikes advance the shared :class:`ManualClock`
     so a wrapping :class:`ResilientTransport` sees the spike against its
     attempt budget.  Purely a test/bench harness — never constructed on
     the production path.
@@ -476,20 +476,18 @@ class FaultInjectingTransport(Transport):
     def latency(self) -> float:  # type: ignore[override]
         return self.inner.latency
 
-    def submit_many(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
-        """One scripted fault per report, same as per-report submits."""
-        return [self.submit(report) for report in reports]
-
-    def submit(self, report: FingerprintReport) -> IsolationDirective:
+    def submit_many(
+        self, reports: list[FingerprintReport], *, now: float | None = None
+    ) -> list[IsolationDirective]:
         self.submits += 1
         fault = self.schedule.popleft() if self.schedule else Fault.ok()
         if fault.kind is FaultKind.OK:
-            return self.inner.submit(report)
+            return self.inner.submit_many(reports, now=now)
         self.faults_injected += 1
         if fault.kind is FaultKind.LATENCY:
             if self.clock is not None:
                 self.clock.advance(fault.latency)
-            return self.inner.submit(report)
+            return self.inner.submit_many(reports, now=now)
         if fault.kind is FaultKind.TIMEOUT:
             raise TransportTimeout(fault.message)
         if fault.kind is FaultKind.ERROR:

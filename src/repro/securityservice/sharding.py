@@ -323,9 +323,9 @@ class ShardedSecurityService:
         """Fan a batch out per shard, reassemble in submission order.
 
         A route to a down shard fails the whole batch with
-        ``ServiceUnavailable`` *before* any shard runs — the gateway's
-        batch path then falls back to per-report submits, isolating the
-        outage to the dead shard's devices.
+        ``ServiceUnavailable`` *before* any shard runs — the gateway
+        then bisects the batch, isolating the outage to the dead shard's
+        devices without serving any report twice.
         """
         with obs_span(obs_names.SPAN_SHARD_ROUTE, batch=len(reports)) as span:
             buckets: dict[str, list[int]] = {}

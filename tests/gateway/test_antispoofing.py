@@ -11,8 +11,8 @@ DEV_IP = "192.168.1.20"
 
 
 class _Scripted:
-    def handle_report(self, report):
-        return IsolationDirective(device_type="Dev", level=IsolationLevel.TRUSTED)
+    def handle_reports(self, reports):
+        return [IsolationDirective(device_type="Dev", level=IsolationLevel.TRUSTED) for _ in reports]
 
 
 def onboarded_gateway():

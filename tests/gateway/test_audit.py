@@ -13,8 +13,8 @@ class _Scripted:
     def __init__(self, level=IsolationLevel.STRICT):
         self.level = level
 
-    def handle_report(self, report):
-        return IsolationDirective(device_type="unknown", level=self.level)
+    def handle_reports(self, reports):
+        return [IsolationDirective(device_type="unknown", level=self.level) for _ in reports]
 
 
 def onboarded(level=IsolationLevel.STRICT, notify=None):

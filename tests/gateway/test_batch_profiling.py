@@ -14,14 +14,21 @@ from repro.obs import RecordingProvider, metrics_snapshot, use_provider
 from repro.packets import builder
 from repro.sdn import IsolationLevel
 from repro.securityservice import (
+    CircuitBreaker,
     DirectTransport,
     FingerprintReport,
     IoTSecurityService,
     IsolationDirective,
+    ManualClock,
+    ProtocolError,
+    ResilientTransport,
+    RetryPolicy,
 )
 
 DEVICES = ("aa:00:00:00:00:01", "aa:00:00:00:00:02", "aa:00:00:00:00:03")
 IPS = ("192.168.1.20", "192.168.1.21", "192.168.1.22")
+SWEEP = tuple(f"aa:00:00:00:01:{i:02x}" for i in range(8))
+SWEEP_IPS = tuple(f"192.168.1.{30 + i}" for i in range(8))
 CLOUD = "52.10.0.1"
 
 
@@ -47,12 +54,6 @@ class ScriptedBatchService:
         return [self.directive for _ in reports]
 
 
-class ScalarOnlyService(ScriptedBatchService):
-    """A legacy service with no batched endpoint."""
-
-    handle_reports = None
-
-
 def run_setup(gateway, mac, ip):
     frames = [
         builder.dhcp_discover_frame(mac, 1, "dev"),
@@ -68,11 +69,35 @@ def run_setup(gateway, mac, ip):
     gateway.process_frame(mac, builder.arp_announce_frame(mac, ip), t + 30.0)
 
 
-def batched_gateway(service):
-    gateway = SecurityGateway(DirectTransport(service), batch_profiling=True)
-    for mac in DEVICES:
+class RejectingService(ScriptedBatchService):
+    """Rejects any batch holding one device's report, as an HTTP 400 would."""
+
+    def __init__(self, bad_mac):
+        super().__init__()
+        self.bad_mac = bad_mac
+        self.exchanges = 0
+
+    def handle_reports(self, reports):
+        self.exchanges += 1
+        if any(report.fingerprint.device_mac == self.bad_mac for report in reports):
+            raise ProtocolError("HTTP 400: malformed fingerprint")
+        return super().handle_reports(reports)
+
+
+def batched_gateway(service, transport=None, macs=DEVICES):
+    gateway = SecurityGateway(transport or DirectTransport(service), batch_profiling=True)
+    for mac in macs:
         gateway.attach_device(mac)
     return gateway
+
+
+def resilient(service, breaker=None):
+    return ResilientTransport(
+        DirectTransport(service),
+        policy=RetryPolicy(max_attempts=3, base_delay=0.5, jitter=0.0),
+        clock=ManualClock(),
+        breaker=breaker,
+    )
 
 
 class TestDrainFlow:
@@ -111,15 +136,6 @@ class TestDrainFlow:
         gateway = batched_gateway(ScriptedBatchService())
         assert gateway.drain_profiling(now=1.0) == {}
 
-    def test_scalar_only_service_falls_back_per_report(self):
-        service = ScalarOnlyService()
-        gateway = batched_gateway(service)
-        for mac, ip in zip(DEVICES, IPS):
-            run_setup(gateway, mac, ip)
-        directives = gateway.drain_profiling(now=40.0)
-        assert set(directives) == set(DEVICES)
-        assert len(service.scalar_reports) == 3
-
     def test_forget_drops_buffered_completion(self):
         service = ScriptedBatchService()
         gateway = batched_gateway(service)
@@ -134,8 +150,9 @@ class TestDrainFlow:
         gateway.process_frame(mac, builder.dhcp_discover_frame(mac, 1, "dev"), 0.0)
         directive = gateway.finish_profiling(mac, now=1.0)
         assert directive is not None and not directive.provisional
-        # The forced flush reports immediately via the scalar path.
-        assert len(service.scalar_reports) == 1 and not service.batches
+        # The forced flush reports immediately, as a batch of one.
+        assert len(service.batches) == 1 and len(service.batches[0]) == 1
+        assert not service.scalar_reports
         assert gateway.drain_profiling(now=2.0) == {}  # nothing left buffered
 
     def test_batch_metrics_recorded(self):
@@ -180,6 +197,44 @@ class TestBatchDegradedMode:
         for mac in DEVICES:
             assert gateway.isolation_level(mac) is IsolationLevel.TRUSTED
         assert not gateway.sentinel.pending_reports
+
+
+class TestBatchBisection:
+    def test_rejected_report_degrades_only_its_device(self):
+        bad = SWEEP[5]
+        service = RejectingService(bad)
+        transport = resilient(service)
+        gateway = batched_gateway(service, transport, SWEEP)
+        for mac, ip in zip(SWEEP, SWEEP_IPS):
+            run_setup(gateway, mac, ip)
+        directives = gateway.drain_profiling(now=40.0)
+        assert set(directives) == set(SWEEP)
+        assert directives[bad].provisional
+        assert gateway.isolation_level(bad) is IsolationLevel.STRICT
+        assert set(gateway.sentinel.pending_reports) == {bad}
+        for mac in SWEEP:
+            if mac != bad:
+                assert not directives[mac].provisional
+                assert gateway.isolation_level(mac) is IsolationLevel.TRUSTED
+        # 8, then 4 + 4, then 2 + 2, then 1 + 1; a fatal error is never retried.
+        assert service.exchanges == 7
+        assert transport.attempts == 7
+        # Accepted, left half first: devices 0-3, then 4, then 6-7.
+        assert [len(batch) for batch in service.batches] == [4, 1, 2]
+
+    def test_open_breaker_degrades_whole_sweep_without_attempts(self):
+        service = ScriptedBatchService()
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=3600.0)
+        breaker.record_failure(0.0)
+        transport = resilient(service, breaker)
+        gateway = batched_gateway(service, transport, SWEEP)
+        for mac, ip in zip(SWEEP, SWEEP_IPS):
+            run_setup(gateway, mac, ip)
+        directives = gateway.drain_profiling(now=40.0)
+        assert all(directives[mac].provisional for mac in SWEEP)
+        assert set(gateway.sentinel.pending_reports) == set(SWEEP)
+        assert transport.attempts == 0 and transport.submits == 1
+        assert not service.batches
 
 
 class TestServiceBatchEquivalence:

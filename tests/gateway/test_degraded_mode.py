@@ -25,9 +25,9 @@ class ScriptedService:
         self.directive = IsolationDirective(device_type=device_type, level=level)
         self.reports = []
 
-    def handle_report(self, report):
-        self.reports.append(report)
-        return self.directive
+    def handle_reports(self, reports):
+        self.reports.extend(reports)
+        return [self.directive for _ in reports]
 
 
 def run_setup(gateway, mac=DEV, ip=DEV_IP, start=0.0):
@@ -184,7 +184,9 @@ class TestRefreshSweepIsolation:
         )
         from repro.securityservice import Fault
 
-        transport.schedule.append(Fault.error())
+        # The sweep is one batch: the first fault fails it, the second
+        # fails DEV's half of the bisection, and PEER's half goes through.
+        transport.schedule.extend([Fault.error(), Fault.error()])
         with use_provider(RecordingProvider()) as provider:
             changed = gateway.refresh_directives(end + 10.0, force=True)
         assert changed == [PEER]  # DEV skipped, sweep completed

@@ -14,8 +14,8 @@ CLOUD = "52.30.0.1"
 
 
 class _Scripted:
-    def handle_report(self, report):
-        return IsolationDirective(device_type="Dev", level=IsolationLevel.TRUSTED)
+    def handle_reports(self, reports):
+        return [IsolationDirective(device_type="Dev", level=IsolationLevel.TRUSTED) for _ in reports]
 
 
 def make_gateway():

@@ -17,9 +17,9 @@ class ScriptedService:
         )
         self.reports = []
 
-    def handle_report(self, report):
-        self.reports.append(report)
-        return self.directive
+    def handle_reports(self, reports):
+        self.reports.extend(reports)
+        return [self.directive for _ in reports]
 
 
 DEV = "aa:00:00:00:00:01"

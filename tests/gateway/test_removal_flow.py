@@ -17,8 +17,8 @@ DEV_IP = "192.168.1.20"
 
 
 class _Scripted:
-    def handle_report(self, report):
-        return IsolationDirective(device_type="unknown", level=IsolationLevel.STRICT)
+    def handle_reports(self, reports):
+        return [IsolationDirective(device_type="unknown", level=IsolationLevel.STRICT) for _ in reports]
 
 
 def gateway_with_device():

@@ -17,8 +17,8 @@ class _Scripted:
     def __init__(self, level):
         self.level = level
 
-    def handle_report(self, report):
-        return IsolationDirective(device_type="Dev", level=self.level)
+    def handle_reports(self, reports):
+        return [IsolationDirective(device_type="Dev", level=self.level) for _ in reports]
 
 
 DEV = "aa:00:00:00:00:01"

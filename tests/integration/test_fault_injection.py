@@ -33,9 +33,9 @@ class CountingService:
     def __init__(self):
         self.reports = []
 
-    def handle_report(self, report):
-        self.reports.append(report)
-        return IsolationDirective(device_type="Dev", level=IsolationLevel.TRUSTED)
+    def handle_reports(self, reports):
+        self.reports.extend(reports)
+        return [IsolationDirective(device_type="Dev", level=IsolationLevel.TRUSTED) for _ in reports]
 
 
 def build_gateway(*, failures, seed):

@@ -164,6 +164,43 @@ class TestShardOutageIsolation:
         assert front.reports_handled == 0
 
 
+class TestBatchedSweepOutage:
+    """The drain_profiling variant: victim and live devices in one sweep."""
+
+    def test_only_victim_devices_degrade_in_one_sweep(self, small_registry):
+        front = build_front(small_registry)
+        victim, victim_macs, live_macs = partition_macs(front)
+        front.kill_shard(victim)
+        _, transport = build_stack(front)
+        gateway = SecurityGateway(transport, batch_profiling=True)
+        macs = [mac for pair in zip(live_macs, victim_macs) for mac in pair]
+        now = run_fleet(gateway, macs)
+        assert gateway.sentinel.directives == {}  # buffered, not yet reported
+
+        directives = gateway.drain_profiling(now)
+        assert set(directives) == set(macs)
+        for mac in live_macs:
+            assert not directives[mac].provisional
+        for mac in victim_macs:
+            assert directives[mac].provisional
+            assert gateway.isolation_level(mac) is IsolationLevel.STRICT
+        assert set(gateway.sentinel.pending_reports) == set(victim_macs)
+        for mac in victim_macs:
+            assert gateway.sentinel.pending_reports[mac].fingerprint.device_mac == mac
+        # A down shard fails a batch before any shard serves it, so the
+        # live devices' reports were accepted exactly once.
+        assert front.reports_handled == len(live_macs)
+
+        front.revive_shard(victim)
+        submits = transport.submits
+        now, sweeps = sweep_until_drained(gateway, now)
+        assert sweeps == 1 and transport.submits == submits + 1  # one batch drains the queue
+        assert gateway.sentinel.pending_reports == {}
+        for mac in victim_macs:
+            assert not gateway.directive_for(mac).provisional
+        assert front.reports_handled == len(macs)
+
+
 class TestComposedFaults:
     """Transport blips overlapping a shard outage still lose nothing."""
 

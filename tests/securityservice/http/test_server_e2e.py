@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.gateway import MonitorEvent, SecurityGateway
 from repro.obs import NOOP_PROVIDER, get_provider, set_provider
 from repro.securityservice import (
     CircuitBreaker,
@@ -176,6 +177,43 @@ class TestResilienceOverHttp:
             with pytest.raises(ProtocolError):
                 transport.submit(FingerprintReport(fingerprint=probe))
         assert flaky.calls == 1
+
+
+class RecordingApp:
+    """Pass-through wrapper that records every request's method and path."""
+
+    def __init__(self, app) -> None:
+        self.app = app
+        self.requests: list[tuple[str, str]] = []
+        self._lock = threading.Lock()
+
+    def handle(self, method, path, headers, body) -> AppResponse:
+        with self._lock:
+            self.requests.append((method, path))
+        return self.app.handle(method, path, headers, body)
+
+
+class TestBatchedSweepOverHttp:
+    def test_sweep_of_eight_is_one_request(self, service, small_registry):
+        fingerprints = [
+            fp for label in small_registry.labels for fp in small_registry.fingerprints(label)[:2]
+        ][:8]
+        events = [
+            MonitorEvent(device_mac=f"aa:00:00:00:01:{i:02x}", fingerprint=fp, packet_count=0, mode="setup")
+            for i, fp in enumerate(fingerprints)
+        ]
+        recording = RecordingApp(ServiceApp(service))
+        with SecurityServiceHTTPServer(recording) as server:
+            transport = ResilientTransport(
+                HttpTransport(server.base_url, gateway_id="gw-sweep"), policy=FAST, clock=SystemClock()
+            )
+            gateway = SecurityGateway(transport, batch_profiling=True)
+            directives = gateway.sentinel.process_batch(events, now=0.0)
+        assert recording.requests == [("POST", "/v1/reports")]
+        assert transport.attempts == 1
+        expected = service.handle_reports([FingerprintReport(fingerprint=fp) for fp in fingerprints])
+        assert [directives[event.device_mac] for event in events] == expected
+        assert len({d.device_type for d in expected}) > 1  # a real mix, not one canned answer
 
 
 class TestProviderLifecycle:

@@ -34,9 +34,9 @@ class _Canned:
         self.directive = IsolationDirective(device_type="Dev", level=level)
         self.reports = 0
 
-    def handle_report(self, report):
-        self.reports += 1
-        return self.directive
+    def handle_reports(self, reports):
+        self.reports += len(reports)
+        return [self.directive for _ in reports]
 
 
 REPORT = FingerprintReport(fingerprint=object())
@@ -345,9 +345,20 @@ class TestResilientTransport:
         assert directive.device_type == "Dev"
         assert breaker.state is BreakerState.CLOSED
 
-    def test_timeful_marker_and_latency_passthrough(self):
+    def test_batch_retried_as_one_exchange(self):
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=60.0)
+        transport, faulty, service, _ = _resilient(
+            None, schedule=[Fault.error()], breaker=breaker
+        )
+        directives = transport.submit_many([REPORT] * 8)
+        assert [d.device_type for d in directives] == ["Dev"] * 8
+        assert transport.submits == 1 and transport.attempts == 2
+        assert faulty.submits == 2  # one fault consumed by the whole batch
+        assert service.reports == 8  # only the successful attempt reached it
+        assert breaker.state is BreakerState.CLOSED  # one failure, not eight
+
+    def test_latency_passthrough(self):
         transport, _, _, _ = _resilient(None)
-        assert transport.timeful
         assert transport.latency == DirectTransport.latency
 
     def test_metrics_recorded(self):

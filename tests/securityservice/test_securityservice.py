@@ -91,11 +91,11 @@ class TestTransports:
         def __init__(self):
             self.last_report = None
 
-        def handle_report(self, report):
-            self.last_report = report
+        def handle_reports(self, reports):
+            self.last_report = reports[-1]
             from repro.securityservice.protocol import IsolationDirective
 
-            return IsolationDirective(device_type="x", level=IsolationLevel.TRUSTED)
+            return [IsolationDirective(device_type="x", level=IsolationLevel.TRUSTED) for _ in reports]
 
     def _fingerprint(self, rng):
         return collect_fingerprints(profile_by_name("Aria"), runs=1, rng=rng)[0]

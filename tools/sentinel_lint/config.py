@@ -167,9 +167,8 @@ BOUNDARY_GUARDS = frozenset(
 
 #: Gateway helpers that intentionally forward boundary faults to their
 #: caller (thin wrappers whose *callers* provide the per-device guard).
-BOUNDARY_ESCAPE_ALLOWED = frozenset(
-    {"repro.gateway.sentinel_module.SentinelModule._submit"}
-)
+#: Empty: ``SentinelModule._report`` guards every exchange itself.
+BOUNDARY_ESCAPE_ALLOWED: frozenset[str] = frozenset()
 
 # --- SL010: observability-name discipline ------------------------------------
 
