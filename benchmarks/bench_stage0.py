@@ -2,11 +2,13 @@
 
 Measures the profile→verdict path over a synthetic fleet of devices
 joining the network: capture records → ``DeviceMonitor`` → fingerprints →
-``DeviceIdentifier.identify_batch`` verdicts.  The scalar pipeline decodes
-every frame into layer objects and feeds :meth:`DeviceMonitor.observe`
-one packet at a time; the batch pipeline parses each capture chunk once
-into a :class:`~repro.packets.batch.PacketBatch` and sweeps it through
-:meth:`DeviceMonitor.observe_batch`.  Fingerprints must agree
+``DeviceIdentifier.identify_batch`` verdicts.  The scalar pipeline
+decodes one frame at a time and feeds :meth:`DeviceMonitor.observe`; the
+batch pipeline parses each capture chunk once into a
+:class:`~repro.packets.batch.PacketBatch` and sweeps it through
+:meth:`DeviceMonitor.observe_batch`.  Both read their facts through the
+same wire-level walk (``repro.packets.facts.frame_facts``), so the ratio
+measures the vectorized feature assembly, not the parser.  Fingerprints must agree
 byte-for-byte — any disagreement fails the run before a single timing is
 reported (the same differential discipline ``bench_fleet.py`` applies to
 the compiled classifier bank).

@@ -16,10 +16,13 @@ from encrypted traffic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.packets.batch import FLAG_NAMES, PacketBatch
+from repro.packets.batch import PacketBatch
 from repro.packets.decoder import DecodedPacket
+from repro.packets.facts import FLAG_NAMES
 
 from .constants import NUM_FEATURES
 
@@ -80,7 +83,7 @@ _N_FLAGS = len(FLAG_NAMES)
 
 if FLAG_NAMES != FEATURE_NAMES[:_N_FLAGS]:  # pragma: no cover - import-time sanity
     raise AssertionError(
-        "repro.packets.batch.FLAG_NAMES must match the presence-flag head of "
+        "repro.packets.facts.FLAG_NAMES must match the presence-flag head of "
         "FEATURE_NAMES so flag_matrix() columns line up with Table I"
     )
 
@@ -139,38 +142,29 @@ class DestinationCounter:
         return len(self._numbers)
 
 
+@lru_cache(maxsize=1024)
+def _flag_row(bits: int) -> tuple[int, ...]:
+    """The 18 presence-flag columns of one flag word (few distinct words occur)."""
+    return tuple((bits >> i) & 1 for i in range(_N_FLAGS))
+
+
 def packet_features(packet: DecodedPacket, counter: DestinationCounter) -> np.ndarray:
     """Compute the 23-feature vector for one decoded packet.
 
+    The 18 presence flags come off ``packet.flag_bits`` in the
+    :meth:`~repro.packets.batch.PacketBatch.flag_matrix` layout.
     ``counter`` carries the fingerprint-scoped destination-IP numbering
     state and is mutated by the call.
     """
     return np.array(
-        [
-            int(packet.is_arp),
-            int(packet.is_llc),
-            int(packet.is_ip),
-            int(packet.is_icmp),
-            int(packet.is_icmpv6),
-            int(packet.is_eapol),
-            int(packet.is_tcp),
-            int(packet.is_udp),
-            int(packet.is_http),
-            int(packet.is_https),
-            int(packet.is_dhcp),
-            int(packet.is_bootp),
-            int(packet.is_ssdp),
-            int(packet.is_dns),
-            int(packet.is_mdns),
-            int(packet.is_ntp),
-            int(packet.ip_option_padding),
-            int(packet.ip_option_router_alert),
+        (
+            *_flag_row(packet.flag_bits),
             packet.size,
             int(packet.has_raw_data),
             counter.number_for(packet.dst_ip),
             port_class(packet.src_port),
             port_class(packet.dst_port),
-        ],
+        ),
         dtype=np.float64,
     )
 

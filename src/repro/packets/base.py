@@ -44,7 +44,7 @@ def mac_to_str(raw: bytes) -> str:
     """Convert 6 raw bytes to the canonical ``aa:bb:cc:dd:ee:ff`` form."""
     if len(raw) != 6:
         raise DecodeError(f"MAC address must be 6 bytes, got {len(raw)}")
-    return ":".join(f"{b:02x}" for b in raw)
+    return raw.hex(":")
 
 
 def ipv4_to_bytes(addr: str) -> bytes:
@@ -65,7 +65,7 @@ def ipv4_to_str(raw: bytes) -> str:
     """Convert 4 raw bytes to dotted-quad form."""
     if len(raw) != 4:
         raise DecodeError(f"IPv4 address must be 4 bytes, got {len(raw)}")
-    return ".".join(str(b) for b in raw)
+    return "%d.%d.%d.%d" % tuple(raw)
 
 
 def ipv6_to_bytes(addr: str) -> bytes:

@@ -1,22 +1,16 @@
 """Columnar packet batches: parse a capture chunk once into NumPy columns.
 
-The scalar pipeline decodes every frame into dataclass layers and then
-reads back a handful of facts per packet; at fleet batch sizes the layer
-construction dominates stage-0 cost.  :class:`PacketBatch` extracts *only*
-the observable facts the Table I features consume — protocol-presence
-bits, IP-option flags, sizes, ports, destination addresses — straight
-from the wire bytes, mirroring :func:`repro.packets.decoder.decode`
-fact-for-fact, including its graceful degradation on truncated or
-malformed inner layers (outer facts kept, remainder counts as raw data).
+:class:`PacketBatch` holds the observable facts the Table I features
+consume — protocol-presence bits, IP-option flags, sizes, ports,
+destination addresses — for a chunk of frames, one NumPy column per
+fact.  The facts come from :func:`repro.packets.facts.frame_facts`, the
+same wire-level walk :func:`repro.packets.decoder.decode` uses for one
+frame, so the batch and per-packet paths cannot drift apart.
 
 Layering note: this module stores primitive columns only (bit masks,
 sizes, ports, destination ids).  Assembling the feature matrix happens in
 ``repro.core.features.batch_features`` because ``packets`` sits below
 ``core`` in the import DAG and must not know the feature layout.
-
-The byte-for-byte agreement of this parser with ``decode()`` is pinned by
-the differential + property harness in ``tests/core/test_batch_extraction.py``
-and a dedicated CI step, the same discipline ``ml/compiled.py`` follows.
 """
 
 from __future__ import annotations
@@ -26,410 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import DecodeError, ipv4_to_str, ipv6_to_str, mac_to_str
-from .dhcp import CLIENT_PORT as DHCP_CLIENT_PORT
-from .dhcp import MAGIC_COOKIE, OPTION_END, OPTION_MESSAGE_TYPE, OPTION_PAD
-from .dhcp import SERVER_PORT as DHCP_SERVER_PORT
-from .dns import PORT_DNS, PORT_MDNS
-from .ethernet import (
-    ETHERTYPE_ARP,
-    ETHERTYPE_EAPOL,
-    ETHERTYPE_IPV4,
-    ETHERTYPE_IPV6,
-    LLC_THRESHOLD,
-)
-from .http import PORT_HTTPS, looks_like_http, looks_like_tls
-from .igmp import TYPE_V3_REPORT
-from .ipv4 import OPTION_EOL, OPTION_NOP, OPTION_ROUTER_ALERT
-from .ipv4 import PROTO_ICMP as V4_PROTO_ICMP
-from .ipv4 import PROTO_IGMP as V4_PROTO_IGMP
-from .ipv4 import PROTO_TCP as V4_PROTO_TCP
-from .ipv4 import PROTO_UDP as V4_PROTO_UDP
-from .ipv6 import OPTION_PAD1, OPTION_PADN, PROTO_HOP_BY_HOP, PROTO_ICMPV6
-from .ipv6 import OPTION_ROUTER_ALERT as V6_OPTION_ROUTER_ALERT
-from .ntp import PORT_NTP
+from .facts import FLAG_NAMES, frame_facts
 from .pcap import CaptureRecord
-from .ssdp import PORT_SSDP, looks_like_ssdp
 
 __all__ = ["FLAG_NAMES", "PacketBatch"]
-
-#: Bit order of :attr:`PacketBatch.flag_bits`; bit ``i`` is the presence
-#: flag named ``FLAG_NAMES[i]``.  ``repro.core.features`` asserts this
-#: matches the head of its ``FEATURE_NAMES`` tuple at import time.
-FLAG_NAMES: tuple[str, ...] = (
-    "arp",
-    "llc",
-    "ip",
-    "icmp",
-    "icmpv6",
-    "eapol",
-    "tcp",
-    "udp",
-    "http",
-    "https",
-    "dhcp",
-    "bootp",
-    "ssdp",
-    "dns",
-    "mdns",
-    "ntp",
-    "ip_option_padding",
-    "ip_option_router_alert",
-)
-
-_B_ARP = 1 << 0
-_B_LLC = 1 << 1
-_B_IP = 1 << 2
-_B_ICMP = 1 << 3
-_B_ICMPV6 = 1 << 4
-_B_EAPOL = 1 << 5
-_B_TCP = 1 << 6
-_B_UDP = 1 << 7
-_B_HTTP = 1 << 8
-_B_HTTPS = 1 << 9
-_B_DHCP = 1 << 10
-_B_BOOTP = 1 << 11
-_B_SSDP = 1 << 12
-_B_DNS = 1 << 13
-_B_MDNS = 1 << 14
-_B_NTP = 1 << 15
-_B_PAD = 1 << 16
-_B_RALERT = 1 << 17
-
-
-# --- application-layer fact walks --------------------------------------------
-#
-# Each helper replays exactly the validation sequence of the corresponding
-# ``unpack`` codec, with structure checks only (no string/tuple building).
-# A ``None``/False-ish failure return corresponds to the codec raising
-# DecodeError, which ``decode`` turns into "keep outer facts + raw data".
-
-
-def _dhcp_verdict(data: bytes) -> bool | None:
-    """None = DecodeError; False = plain BOOTP; True = DHCP (option 53)."""
-    if len(data) < 236 or data[1] != 1 or data[2] != 6:
-        return None
-    rest = data[236:]
-    if not rest.startswith(MAGIC_COOKIE):
-        return False  # cookieless BOOTP carries no options
-    n = len(rest)
-    i = len(MAGIC_COOKIE)
-    dhcp = False
-    while i < n:
-        code = rest[i]
-        if code == OPTION_END:
-            break
-        if code == OPTION_PAD:
-            i += 1
-            continue
-        if i + 2 > n:
-            return None
-        length = rest[i + 1]
-        if i + 2 + length > n:
-            return None
-        if code == OPTION_MESSAGE_TYPE and length:
-            dhcp = True
-        i += 2 + length
-    return dhcp
-
-
-def _dns_skip_name(data: bytes, off: int, n: int) -> int:
-    """Walk one possibly-compressed DNS name; -1 on DecodeError."""
-    jumps = 0
-    end = -1
-    while True:
-        if off + 1 > n:
-            return -1
-        length = data[off]
-        if length == 0:
-            off += 1
-            break
-        if length & 0xC0 == 0xC0:
-            if off + 2 > n:
-                return -1
-            pointer = ((length & 0x3F) << 8) | data[off + 1]
-            if end < 0:
-                end = off + 2
-            off = pointer
-            jumps += 1
-            if jumps > 32:
-                return -1
-            continue
-        if off + 1 + length > n:
-            return -1
-        off += 1 + length
-    return end if end >= 0 else off
-
-
-def _dns_ok(data: bytes) -> bool:
-    """Structural replay of ``DNSMessage.unpack`` (labels never raise)."""
-    n = len(data)
-    if n < 12:
-        return False
-    qd = (data[4] << 8) | data[5]
-    records = ((data[6] << 8) | data[7]) + ((data[8] << 8) | data[9]) + (
-        (data[10] << 8) | data[11]
-    )
-    off = 12
-    for _ in range(qd):
-        off = _dns_skip_name(data, off, n)
-        if off < 0 or off + 4 > n:
-            return False
-        off += 4
-    for _ in range(records):
-        off = _dns_skip_name(data, off, n)
-        if off < 0 or off + 10 > n:
-            return False
-        rdlength = (data[off + 8] << 8) | data[off + 9]
-        if off + 10 + rdlength > n:
-            return False
-        off += 10 + rdlength
-    return True
-
-
-def _igmp_ok(inner: bytes) -> bool:
-    """Replay the decoder's IGMP branch (no Table I flag either way)."""
-    n = len(inner)
-    if n < 8:
-        return False
-    if inner[0] != TYPE_V3_REPORT:
-        return True  # IGMPv2 unpack only requires 8 bytes
-    count = (inner[6] << 8) | inner[7]
-    off = 8
-    for _ in range(count):
-        if n < off + 8:
-            return False
-        off += 8 + 4 * ((inner[off + 2] << 8) | inner[off + 3]) + 4 * inner[off + 1]
-    return True
-
-
-def _tcp_facts(inner: bytes) -> tuple[int, int, int, int] | None:
-    """(bits, raw, src_port, dst_port) for a TCP segment; None on DecodeError."""
-    n = len(inner)
-    if n < 20:
-        return None
-    header_len = (inner[12] >> 4) * 4
-    if header_len < 20 or n < header_len:
-        return None
-    sp = (inner[0] << 8) | inner[1]
-    dp = (inner[2] << 8) | inner[3]
-    payload = inner[header_len:]
-    if not payload:
-        return _B_TCP, 0, sp, dp
-    if looks_like_http(payload):
-        body = payload.partition(b"\r\n\r\n")[2]
-        return _B_TCP | _B_HTTP, 1 if body else 0, sp, dp
-    if (sp == PORT_HTTPS or dp == PORT_HTTPS) and looks_like_tls(payload):
-        return _B_TCP | _B_HTTPS, 1, sp, dp
-    return _B_TCP, 1, sp, dp
-
-
-def _udp_facts(inner: bytes) -> tuple[int, int, int, int] | None:
-    """(bits, raw, src_port, dst_port) for a UDP datagram; None on DecodeError."""
-    n = len(inner)
-    if n < 8:
-        return None
-    length = (inner[4] << 8) | inner[5]
-    if length < 8 or length > n:
-        return None
-    sp = (inner[0] << 8) | inner[1]
-    dp = (inner[2] << 8) | inner[3]
-    payload = inner[8:length]
-    if not payload:
-        return _B_UDP, 0, sp, dp
-    if sp in (DHCP_SERVER_PORT, DHCP_CLIENT_PORT) or dp in (
-        DHCP_SERVER_PORT,
-        DHCP_CLIENT_PORT,
-    ):
-        verdict = _dhcp_verdict(payload)
-        if verdict is None:
-            return _B_UDP, 1, sp, dp
-        bits = _B_UDP | _B_BOOTP | (_B_DHCP if verdict else 0)
-        return bits, 0, sp, dp
-    if sp in (PORT_DNS, PORT_MDNS) or dp in (PORT_DNS, PORT_MDNS):
-        if not _dns_ok(payload):
-            return _B_UDP, 1, sp, dp
-        if sp == PORT_MDNS or dp == PORT_MDNS:
-            return _B_UDP | _B_MDNS, 0, sp, dp
-        return _B_UDP | _B_DNS, 0, sp, dp
-    if (sp == PORT_SSDP or dp == PORT_SSDP) and looks_like_ssdp(payload):
-        return _B_UDP | _B_SSDP, 0, sp, dp
-    if sp == PORT_NTP or dp == PORT_NTP:
-        if len(payload) >= 48:
-            return _B_UDP | _B_NTP, 0, sp, dp
-        return _B_UDP, 1, sp, dp
-    return _B_UDP, 1, sp, dp
-
-
-# --- network-layer fact walks -------------------------------------------------
-
-
-def _ipv4_facts(
-    payload: bytes, ip_strs: dict
-) -> tuple[int, int, int, int, str | None]:
-    """(bits, raw, src_port, dst_port, dst_ip) for the IPv4 decode branch."""
-    n = len(payload)
-    fail = (0, 1, -1, -1, None)
-    if n < 20 or payload[0] >> 4 != 4:
-        return fail
-    ihl = (payload[0] & 0x0F) * 4
-    if ihl < 20 or n < ihl:
-        return fail
-    total_length = (payload[2] << 8) | payload[3]
-    if total_length < ihl or total_length > n:
-        return fail
-    bits = 0
-    i = 20
-    while i < ihl:
-        kind = payload[i]
-        if kind == OPTION_EOL:
-            bits |= _B_PAD
-            break
-        if kind == OPTION_NOP:
-            bits |= _B_PAD
-            i += 1
-            continue
-        if i + 2 > ihl:
-            return fail  # option-parse DecodeError: no IP facts at all
-        length = payload[i + 1]
-        if length < 2 or i + length > ihl:
-            return fail
-        if kind == OPTION_ROUTER_ALERT:
-            bits |= _B_RALERT
-        i += length
-    bits |= _B_IP
-    key = payload[16:20]
-    dst = ip_strs.get(key)
-    if dst is None:
-        dst = ip_strs[key] = ipv4_to_str(key)
-    proto = payload[9]
-    inner = payload[ihl:total_length]
-    if proto == V4_PROTO_ICMP:
-        if len(inner) >= 4:
-            return bits | _B_ICMP, 0, -1, -1, dst
-        return bits, 1, -1, -1, dst
-    if proto == V4_PROTO_TCP:
-        t = _tcp_facts(inner)
-        if t is None:
-            return bits, 1, -1, -1, dst
-        return bits | t[0], t[1], t[2], t[3], dst
-    if proto == V4_PROTO_UDP:
-        u = _udp_facts(inner)
-        if u is None:
-            return bits, 1, -1, -1, dst
-        return bits | u[0], u[1], u[2], u[3], dst
-    if proto == V4_PROTO_IGMP:
-        return bits, 0 if _igmp_ok(inner) else 1, -1, -1, dst
-    return bits, 1 if inner else 0, -1, -1, dst
-
-
-def _ipv6_facts(
-    payload: bytes, ip_strs: dict
-) -> tuple[int, int, int, int, str | None]:
-    """(bits, raw, src_port, dst_port, dst_ip) for the IPv6 decode branch."""
-    n = len(payload)
-    fail = (0, 1, -1, -1, None)
-    if n < 40 or payload[0] >> 4 != 6:
-        return fail
-    payload_len = (payload[4] << 8) | payload[5]
-    if n < 40 + payload_len:
-        return fail
-    bits = _B_IP
-    key = payload[24:40]
-    dst = ip_strs.get(key)
-    if dst is None:
-        dst = ip_strs[key] = ipv6_to_str(key)
-    next_header = payload[6]
-    inner = payload[40 : 40 + payload_len]
-    if next_header == PROTO_HOP_BY_HOP:
-        hn = len(inner)
-        if hn < 8:
-            return bits, 1, -1, -1, dst
-        length = (inner[1] + 1) * 8
-        if hn < length:
-            return bits, 1, -1, -1, dst
-        body = inner[2:length]
-        bn = len(body)
-        hbits = 0
-        i = 0
-        while i < bn:
-            kind = body[i]
-            if kind == OPTION_PAD1:
-                hbits |= _B_PAD
-                i += 1
-                continue
-            if i + 2 > bn:
-                # truncated option: DecodeError after the IP facts were set
-                return bits, 1, -1, -1, dst
-            if kind == OPTION_PADN:
-                hbits |= _B_PAD
-            elif kind == V6_OPTION_ROUTER_ALERT:
-                hbits |= _B_RALERT
-            i += 2 + body[i + 1]
-        bits |= hbits
-        next_header = inner[0]
-        inner = inner[length:]
-    if next_header == PROTO_ICMPV6:
-        if len(inner) >= 4:
-            return bits | _B_ICMPV6, 0, -1, -1, dst
-        return bits, 1, -1, -1, dst
-    if next_header == V4_PROTO_TCP:
-        t = _tcp_facts(inner)
-        if t is None:
-            return bits, 1, -1, -1, dst
-        return bits | t[0], t[1], t[2], t[3], dst
-    if next_header == V4_PROTO_UDP:
-        u = _udp_facts(inner)
-        if u is None:
-            return bits, 1, -1, -1, dst
-        return bits | u[0], u[1], u[2], u[3], dst
-    return bits, 1 if inner else 0, -1, -1, dst
-
-
-def _fast_facts(
-    frame: bytes, mac_strs: dict, ip_strs: dict
-) -> tuple[str, int, int, int, int, str | None]:
-    """(src_mac, bits, raw, src_port, dst_port, dst_ip) for one frame.
-
-    Raises :class:`DecodeError` on a sub-Ethernet runt frame, exactly as
-    ``decode`` does (the Ethernet header sits outside its degradation
-    boundary); every inner failure degrades to raw-data presence instead.
-    """
-    if len(frame) < 14:
-        raise DecodeError(f"truncated Ethernet header: need 14 bytes, have {len(frame)}")
-    key = frame[6:12]
-    src_mac = mac_strs.get(key)
-    if src_mac is None:
-        src_mac = mac_strs[key] = mac_to_str(key)
-    ethertype = (frame[12] << 8) | frame[13]
-    payload = frame[14:]
-    if ethertype == ETHERTYPE_IPV4:
-        bits, raw, sp, dp, dst = _ipv4_facts(payload, ip_strs)
-        return src_mac, bits, raw, sp, dp, dst
-    if ethertype < LLC_THRESHOLD:
-        if len(payload) >= 3:
-            return src_mac, _B_LLC, 1 if len(payload) > 3 else 0, -1, -1, None
-        return src_mac, 0, 1, -1, -1, None
-    if ethertype == ETHERTYPE_ARP:
-        if (
-            len(payload) >= 28
-            and payload[0] == 0
-            and payload[1] == 1
-            and payload[2] == 0x08
-            and payload[3] == 0x00
-            and payload[4] == 6
-            and payload[5] == 4
-        ):
-            return src_mac, _B_ARP, 0, -1, -1, None
-        return src_mac, 0, 1, -1, -1, None
-    if ethertype == ETHERTYPE_EAPOL:
-        if len(payload) >= 4 and len(payload) >= 4 + ((payload[2] << 8) | payload[3]):
-            return src_mac, _B_EAPOL, 0, -1, -1, None
-        return src_mac, 0, 1, -1, -1, None
-    if ethertype == ETHERTYPE_IPV6:
-        bits, raw, sp, dp, dst = _ipv6_facts(payload, ip_strs)
-        return src_mac, bits, raw, sp, dp, dst
-    return src_mac, 0, 1 if payload else 0, -1, -1, None
 
 
 @dataclass(frozen=True)
@@ -458,43 +52,24 @@ class PacketBatch:
         cls, frames: Sequence[bytes], timestamps: Sequence[float] | np.ndarray
     ) -> "PacketBatch":
         """Parse raw Ethernet frames once into columns."""
-        mac_strs: dict = {}
-        ip_strs: dict = {}
-        dst_index: dict = {}
-        dst_keys: list[str] = []
-        macs: list[str] = []
-        bits_col: list[int] = []
-        sizes_col: list[int] = []
-        raw_col: list[int] = []
-        sp_col: list[int] = []
-        dp_col: list[int] = []
-        did_col: list[int] = []
-        for frame in frames:
-            src_mac, bits, raw, sp, dp, dst = _fast_facts(frame, mac_strs, ip_strs)
-            macs.append(src_mac)
-            bits_col.append(bits)
-            sizes_col.append(len(frame))
-            raw_col.append(raw)
-            sp_col.append(sp)
-            dp_col.append(dp)
-            if dst is None:
-                did_col.append(-1)
-            else:
-                did = dst_index.get(dst)
-                if did is None:
-                    did = dst_index[dst] = len(dst_keys)
-                    dst_keys.append(dst)
-                did_col.append(did)
+        # One fact row per frame, transposed into columns in one C-level pass.
+        columns = list(zip(*[frame_facts(frame) for frame in frames])) or [()] * 8
+        macs, _, bits_col, raw_col, sp_col, dp_col, _, dsts = columns
+        dst_index: dict[str, int] = {}
+        did_col = [
+            -1 if dst is None else dst_index.setdefault(dst, len(dst_index))
+            for dst in dsts
+        ]
         return cls(
             timestamps=np.asarray(timestamps, dtype=np.float64),
             src_macs=tuple(macs),
             flag_bits=np.array(bits_col, dtype=np.uint32),
-            sizes=np.array(sizes_col, dtype=np.int64),
+            sizes=np.array([len(frame) for frame in frames], dtype=np.int64),
             raw=np.array(raw_col, dtype=np.uint8),
             src_ports=np.array(sp_col, dtype=np.int32),
             dst_ports=np.array(dp_col, dtype=np.int32),
             dst_ids=np.array(did_col, dtype=np.int32),
-            dst_keys=tuple(dst_keys),
+            dst_keys=tuple(dst_index),
         )
 
     @classmethod

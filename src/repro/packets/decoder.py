@@ -1,17 +1,24 @@
-"""Full-stack frame decoding into the view the fingerprinter consumes.
+"""Frame decoding into the view the fingerprinter, switch and gateway consume.
 
-:func:`decode` parses a raw Ethernet frame through every layer the Table I
-features reference and returns a :class:`DecodedPacket` summarizing exactly
-the observable facts the paper's feature extractor relies on: which
+:func:`decode` reads the observable facts of a raw Ethernet frame — which
 protocols are present, IP option flags, packet size, payload presence,
-destination address and port numbers.  Payload *content* is deliberately
-not surfaced beyond "raw data present", matching the paper's
+addresses and port numbers — straight off the wire bytes through
+:func:`repro.packets.facts.frame_facts`, the same walk
+:class:`~repro.packets.batch.PacketBatch` uses, and returns them as an
+immutable :class:`DecodedPacket`.  Payload *content* is deliberately not
+surfaced beyond "raw data present", matching the paper's
 encrypted-traffic-compatible design.
+
+The codec objects (Ethernet, IPv4/IPv6, TCP/UDP, DHCP/DNS/SSDP/HTTP/...)
+are built only on demand: :attr:`DecodedPacket.layers` runs the codec
+walk the first time it is read.  The data plane never reads them; DHCP
+snooping, the device responder and tooling do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import dhcp as dhcp_mod
 from . import dns as dns_mod
@@ -28,8 +35,31 @@ from .ethernet import (
     ETHERTYPE_IPV6,
     EthernetFrame,
 )
+from .facts import (
+    B_ARP,
+    B_BOOTP,
+    B_DHCP,
+    B_DNS,
+    B_EAPOL,
+    B_HTTP,
+    B_HTTPS,
+    B_ICMP,
+    B_ICMPV6,
+    B_IP,
+    B_LLC,
+    B_MDNS,
+    B_NTP,
+    B_PAD,
+    B_RALERT,
+    B_SSDP,
+    B_TCP,
+    B_UDP,
+    frame_facts,
+)
 from .icmp import ICMPMessage, ICMPv6Message
+from .igmp import TYPE_V3_REPORT, IGMPv2Message, IGMPv3Report
 from .ipv4 import PROTO_ICMP as IPV4_PROTO_ICMP
+from .ipv4 import PROTO_IGMP as IPV4_PROTO_IGMP
 from .ipv4 import PROTO_TCP as IPV4_PROTO_TCP
 from .ipv4 import PROTO_UDP as IPV4_PROTO_UDP
 from .ipv4 import IPv4Header
@@ -39,44 +69,75 @@ from .tcp import TCPSegment
 from .udp import UDPDatagram
 
 
-@dataclass(frozen=True)
-class DecodedPacket:
-    """Everything the fingerprint features need to know about one frame."""
+def _flag(bit: int) -> property:
+    """A read-only bool view of one bit of :attr:`DecodedPacket.flag_bits`."""
 
+    def get(self: DecodedPacket) -> bool:
+        return self.flag_bits & bit != 0
+
+    return property(get)
+
+
+# The fields live on a NamedTuple base and the derived views on a slotted
+# subclass: a NamedTuple class body may hold only fields and methods.
+class _PacketFacts(NamedTuple):
     size: int
-    src_mac: str = ""
-    dst_mac: str = ""
+    src_mac: str
+    dst_mac: str
+    flag_bits: int
+    has_raw_data: bool
+    src_ip: str | None
+    dst_ip: str | None
+    src_port: int | None
+    dst_port: int | None
+    #: The wire bytes, kept for the on-demand codec walk of ``layers``.
+    frame: bytes
+
+
+class DecodedPacket(_PacketFacts):
+    """Everything the fingerprint features and flow table know about one frame.
+
+    An immutable, slotted record of the facts :func:`frame_facts` reads.
+    ``flag_bits`` is the protocol-presence word in
+    :data:`~repro.packets.facts.FLAG_NAMES` order; the ``is_*`` and
+    ``ip_option_*`` attributes read single bits of it.  Ports and IP
+    addresses are ``None`` when the frame carries none.
+    """
+
+    __slots__ = ()
+
     # Link layer
-    is_arp: bool = False
-    is_llc: bool = False
+    is_arp = _flag(B_ARP)
+    is_llc = _flag(B_LLC)
     # Network layer
-    is_ip: bool = False
-    is_icmp: bool = False
-    is_icmpv6: bool = False
-    is_eapol: bool = False
+    is_ip = _flag(B_IP)
+    is_icmp = _flag(B_ICMP)
+    is_icmpv6 = _flag(B_ICMPV6)
+    is_eapol = _flag(B_EAPOL)
     # Transport layer
-    is_tcp: bool = False
-    is_udp: bool = False
+    is_tcp = _flag(B_TCP)
+    is_udp = _flag(B_UDP)
     # Application layer
-    is_http: bool = False
-    is_https: bool = False
-    is_dhcp: bool = False
-    is_bootp: bool = False
-    is_ssdp: bool = False
-    is_dns: bool = False
-    is_mdns: bool = False
-    is_ntp: bool = False
+    is_http = _flag(B_HTTP)
+    is_https = _flag(B_HTTPS)
+    is_dhcp = _flag(B_DHCP)
+    is_bootp = _flag(B_BOOTP)
+    is_ssdp = _flag(B_SSDP)
+    is_dns = _flag(B_DNS)
+    is_mdns = _flag(B_MDNS)
+    is_ntp = _flag(B_NTP)
     # IP options
-    ip_option_padding: bool = False
-    ip_option_router_alert: bool = False
-    # Content / addressing
-    has_raw_data: bool = False
-    src_ip: str | None = None
-    dst_ip: str | None = None
-    src_port: int | None = None
-    dst_port: int | None = None
-    # Decoded layer objects, outermost first (for tooling/tests).
-    layers: tuple[object, ...] = field(default_factory=tuple)
+    ip_option_padding = _flag(B_PAD)
+    ip_option_router_alert = _flag(B_RALERT)
+
+    @property
+    def layers(self) -> tuple[object, ...]:
+        """Decoded codec objects, outermost first (for tooling and snooping).
+
+        Parsed on first access; never raises — a malformed inner layer
+        ends the tuple, exactly where the fact walk degrades to raw data.
+        """
+        return _codec_layers(bytes(self.frame))
 
     def layer(self, layer_type: type) -> object | None:
         """Return the first decoded layer of the given type, if any."""
@@ -86,166 +147,106 @@ class DecodedPacket:
         return None
 
 
-def _classify_udp(datagram: UDPDatagram, facts: dict) -> list[object]:
-    """Fill application-layer facts for a UDP payload; return parsed layers."""
-    layers: list[object] = []
-    payload = datagram.payload
-    ports = (datagram.src_port, datagram.dst_port)
-    facts["src_port"], facts["dst_port"] = ports
-    if not payload:
-        return layers
-    if dhcp_mod.SERVER_PORT in ports or dhcp_mod.CLIENT_PORT in ports:
-        try:
-            message, _ = dhcp_mod.DHCPMessage.unpack(payload)
-        except DecodeError:
-            facts["has_raw_data"] = True
-            return layers
-        layers.append(message)
-        facts["is_bootp"] = True
-        if message.is_dhcp:
-            facts["is_dhcp"] = True
-        return layers
-    if dns_mod.PORT_DNS in ports or dns_mod.PORT_MDNS in ports:
-        try:
-            message, _ = dns_mod.DNSMessage.unpack(payload)
-        except DecodeError:
-            facts["has_raw_data"] = True
-            return layers
-        layers.append(message)
-        if dns_mod.PORT_MDNS in ports:
-            facts["is_mdns"] = True
-        else:
-            facts["is_dns"] = True
-        return layers
-    if ssdp_mod.PORT_SSDP in ports and ssdp_mod.looks_like_ssdp(payload):
-        message, _ = ssdp_mod.SSDPMessage.unpack(payload)
-        layers.append(message)
-        facts["is_ssdp"] = True
-        return layers
-    if ntp_mod.PORT_NTP in ports:
-        try:
-            message, _ = ntp_mod.NTPPacket.unpack(payload)
-        except DecodeError:
-            facts["has_raw_data"] = True
-            return layers
-        layers.append(message)
-        facts["is_ntp"] = True
-        return layers
-    facts["has_raw_data"] = True
-    return layers
-
-
-def _classify_tcp(segment: TCPSegment, facts: dict) -> list[object]:
-    """Fill application-layer facts for a TCP payload; return parsed layers."""
-    layers: list[object] = []
-    facts["src_port"], facts["dst_port"] = segment.src_port, segment.dst_port
-    payload = segment.payload
-    if not payload:
-        return layers
-    ports = (segment.src_port, segment.dst_port)
-    if http_mod.looks_like_http(payload):
-        message, _ = http_mod.HTTPMessage.unpack(payload)
-        layers.append(message)
-        facts["is_http"] = True
-        facts["has_raw_data"] = bool(message.body)
-        return layers
-    if http_mod.PORT_HTTPS in ports and http_mod.looks_like_tls(payload):
-        facts["is_https"] = True
-        facts["has_raw_data"] = True
-        return layers
-    facts["has_raw_data"] = True
-    return layers
-
-
 def decode(frame: bytes) -> DecodedPacket:
-    """Decode a raw Ethernet frame into a :class:`DecodedPacket`.
+    """Read the facts of a raw Ethernet frame into a :class:`DecodedPacket`.
 
+    A frame shorter than an Ethernet header raises :class:`DecodeError`.
     Unknown or truncated inner layers degrade gracefully: the outer facts
     already gathered are kept and the remaining bytes count as raw data,
     mirroring how a tcpdump-based pipeline treats unparseable payloads.
     """
-    facts: dict = {"size": len(frame)}
+    src_mac, dst_mac, bits, raw, sp, dp, src_ip, dst_ip = frame_facts(frame)
+    return DecodedPacket(
+        len(frame),
+        src_mac,
+        dst_mac,
+        bits,
+        raw == 1,
+        src_ip,
+        dst_ip,
+        sp if sp >= 0 else None,
+        dp if dp >= 0 else None,
+        frame,
+    )
+
+
+def _udp_layers(datagram: UDPDatagram) -> list[object]:
+    """The application message a UDP payload parses as, if any."""
+    payload = datagram.payload
+    ports = (datagram.src_port, datagram.dst_port)
+    if not payload:
+        return []
+    if dhcp_mod.SERVER_PORT in ports or dhcp_mod.CLIENT_PORT in ports:
+        return [dhcp_mod.DHCPMessage.unpack(payload)[0]]
+    if dns_mod.PORT_DNS in ports or dns_mod.PORT_MDNS in ports:
+        return [dns_mod.DNSMessage.unpack(payload)[0]]
+    if ssdp_mod.PORT_SSDP in ports and ssdp_mod.looks_like_ssdp(payload):
+        return [ssdp_mod.SSDPMessage.unpack(payload)[0]]
+    if ntp_mod.PORT_NTP in ports:
+        return [ntp_mod.NTPPacket.unpack(payload)[0]]
+    return []
+
+
+def _tcp_layers(segment: TCPSegment) -> list[object]:
+    """The HTTP message a TCP payload parses as, if any."""
+    if segment.payload and http_mod.looks_like_http(segment.payload):
+        return [http_mod.HTTPMessage.unpack(segment.payload)[0]]
+    return []
+
+
+# Memoized by frame bytes rather than per packet (the record is a tuple
+# with no slot to cache in): repeated ``layer()`` calls on one packet, and
+# packets decoded from the same bytes, share one parse.  Sharing is safe
+# because every codec object is a frozen dataclass.
+@lru_cache(maxsize=256)
+def _codec_layers(frame: bytes) -> tuple[object, ...]:
+    """Parse every codec layer of ``frame``; stop at the first that fails."""
     layers: list[object] = []
-    eth, payload = EthernetFrame.unpack(frame)
-    layers.append(eth)
-    facts["src_mac"], facts["dst_mac"] = eth.src, eth.dst
     try:
+        eth, payload = EthernetFrame.unpack(frame)
+        layers.append(eth)
         if eth.is_llc:
-            llc, rest = LLCHeader.unpack(payload)
-            layers.append(llc)
-            facts["is_llc"] = True
-            facts["has_raw_data"] = bool(rest)
+            layers.append(LLCHeader.unpack(payload)[0])
         elif eth.ethertype == ETHERTYPE_ARP:
-            arp, _ = ARPPacket.unpack(payload)
-            layers.append(arp)
-            facts["is_arp"] = True
+            layers.append(ARPPacket.unpack(payload)[0])
         elif eth.ethertype == ETHERTYPE_EAPOL:
-            eapol, _ = EAPOLFrame.unpack(payload)
-            layers.append(eapol)
-            facts["is_eapol"] = True
+            layers.append(EAPOLFrame.unpack(payload)[0])
         elif eth.ethertype == ETHERTYPE_IPV4:
             ip, inner = IPv4Header.unpack(payload)
             layers.append(ip)
-            facts["is_ip"] = True
-            facts["src_ip"] = ip.src
-            facts["dst_ip"] = ip.dst
-            facts["ip_option_padding"] = ip.has_padding_option
-            facts["ip_option_router_alert"] = ip.has_router_alert
             if ip.proto == IPV4_PROTO_ICMP:
-                icmp, _ = ICMPMessage.unpack(inner)
-                layers.append(icmp)
-                facts["is_icmp"] = True
+                layers.append(ICMPMessage.unpack(inner)[0])
             elif ip.proto == IPV4_PROTO_TCP:
                 segment, _ = TCPSegment.unpack(inner)
                 layers.append(segment)
-                facts["is_tcp"] = True
-                layers.extend(_classify_tcp(segment, facts))
+                layers.extend(_tcp_layers(segment))
             elif ip.proto == IPV4_PROTO_UDP:
                 datagram, _ = UDPDatagram.unpack(inner)
                 layers.append(datagram)
-                facts["is_udp"] = True
-                layers.extend(_classify_udp(datagram, facts))
-            elif ip.proto == 2:  # IGMP: parsed for tooling; no Table-I flag
-                from .igmp import IGMPv2Message, IGMPv3Report, TYPE_V3_REPORT
-
+                layers.extend(_udp_layers(datagram))
+            elif ip.proto == IPV4_PROTO_IGMP:
                 if inner and inner[0] == TYPE_V3_REPORT:
-                    igmp, _ = IGMPv3Report.unpack(inner)
+                    layers.append(IGMPv3Report.unpack(inner)[0])
                 else:
-                    igmp, _ = IGMPv2Message.unpack(inner)
-                layers.append(igmp)
-            else:
-                facts["has_raw_data"] = bool(inner)
+                    layers.append(IGMPv2Message.unpack(inner)[0])
         elif eth.ethertype == ETHERTYPE_IPV6:
             ip6, inner = IPv6Header.unpack(payload)
             layers.append(ip6)
-            facts["is_ip"] = True
-            facts["src_ip"] = ip6.src
-            facts["dst_ip"] = ip6.dst
             next_header = ip6.next_header
             if next_header == PROTO_HOP_BY_HOP:
                 hbh, inner = HopByHopOptions.unpack(inner)
                 layers.append(hbh)
-                facts["ip_option_router_alert"] = hbh.router_alert
-                facts["ip_option_padding"] = hbh.padding
                 next_header = hbh.next_header
             if next_header == PROTO_ICMPV6:
-                icmp6, _ = ICMPv6Message.unpack(inner)
-                layers.append(icmp6)
-                facts["is_icmpv6"] = True
+                layers.append(ICMPv6Message.unpack(inner)[0])
             elif next_header == PROTO_TCP:
                 segment, _ = TCPSegment.unpack(inner)
                 layers.append(segment)
-                facts["is_tcp"] = True
-                layers.extend(_classify_tcp(segment, facts))
+                layers.extend(_tcp_layers(segment))
             elif next_header == PROTO_UDP:
                 datagram, _ = UDPDatagram.unpack(inner)
                 layers.append(datagram)
-                facts["is_udp"] = True
-                layers.extend(_classify_udp(datagram, facts))
-            else:
-                facts["has_raw_data"] = bool(inner)
-        else:
-            facts["has_raw_data"] = bool(payload)
+                layers.extend(_udp_layers(datagram))
     except DecodeError:
-        facts["has_raw_data"] = True
-    return DecodedPacket(layers=tuple(layers), **facts)
+        pass
+    return tuple(layers)

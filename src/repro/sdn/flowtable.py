@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import insort
+
 from repro.packets.decoder import DecodedPacket
 
 from .openflow import FlowRule
@@ -9,13 +11,18 @@ from .openflow import FlowRule
 __all__ = ["FlowTable"]
 
 
+def _order(rule: FlowRule) -> tuple[int, int]:
+    """Lookup order: higher priority first, then the more specific match."""
+    return -rule.priority, -rule.match.specificity()
+
+
 class FlowTable:
     """The switch's rule store.
 
     Lookup returns the highest-priority matching rule (most-specific match
-    wins ties), mirroring OpenFlow semantics.  For any given flow there is
-    only one matching enforcement rule by construction (Sect. V), so the
-    common path is a short scan of the per-MAC bucket.
+    wins ties, then the earlier-installed rule), mirroring OpenFlow
+    semantics.  Rules are kept in that order, so lookup is a linear scan
+    that stops at the first match.
     """
 
     def __init__(self) -> None:
@@ -28,8 +35,8 @@ class FlowTable:
         return iter(self._rules)
 
     def add(self, rule: FlowRule) -> None:
-        self._rules.append(rule)
-        self._rules.sort(key=lambda r: (-r.priority, -r.match.specificity()))
+        # After every equal-keyed rule: the order a stable sort would give.
+        insort(self._rules, rule, key=_order)
 
     def remove(self, rule: FlowRule) -> None:
         self._rules.remove(rule)

@@ -29,6 +29,27 @@ def small_registry():
     return collect_dataset(profiles, runs_per_device=12, seed=101)
 
 
+@pytest.fixture(autouse=True)
+def _small_registry_unchanged(request):
+    """Fail the test that enrols into or retires from the shared registry.
+
+    ``small_registry`` is built once per session; a test that mutates it
+    (e.g. by handing it to ``IoTSecurityService.train`` and then enrolling
+    a type) changes what every later test trains on.  Such a test must
+    train on a private copy instead.
+    """
+    if "small_registry" not in request.fixturenames:
+        yield
+        return
+    registry = request.getfixturevalue("small_registry")
+    labels = list(registry.labels)
+    yield
+    assert registry.labels == labels, (
+        f"{request.node.nodeid} changed the session-scoped small_registry "
+        f"labels {labels} -> {registry.labels}; train on a copy"
+    )
+
+
 @pytest.fixture(scope="session")
 def small_identifier(small_registry):
     return DeviceIdentifier(random_state=11).fit(small_registry)

@@ -1,5 +1,8 @@
 """OpenFlow match/action primitives and flow-table semantics."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.packets import builder, decode
 from repro.sdn import Action, ActionType, FlowMatch, FlowRule, FlowTable
 
@@ -108,3 +111,74 @@ class TestFlowTable:
         assert rule.packet_count == 2
         assert rule.byte_count == 164
         assert rule.last_used == 2.0
+
+
+def _sorted_oracle_add(rules, rule):
+    """The table's original insert: append, then stable-sort everything."""
+    rules.append(rule)
+    rules.sort(key=lambda r: (-r.priority, -r.match.specificity()))
+
+
+_matches = st.builds(
+    FlowMatch,
+    in_port=st.none() | st.integers(1, 3),
+    eth_src=st.none() | st.just(MAC),
+    ip_dst=st.none() | st.just("52.1.1.1"),
+    tp_dst=st.none() | st.just(443),
+)
+_new_rules = st.builds(
+    FlowRule,
+    match=_matches,
+    actions=st.just((Action.flood(),)),
+    priority=st.sampled_from([1, 10, 100]),
+    idle_timeout=st.none() | st.sampled_from([5.0, 20.0]),
+    cookie=st.integers(0, 2),
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _new_rules),
+        st.tuples(st.just("remove"), st.integers(0, 30)),
+        st.tuples(st.just("cookie"), st.integers(0, 2)),
+        st.tuples(st.just("hit"), st.integers(0, 30)),
+        st.tuples(st.just("expire"), st.floats(0.0, 60.0)),
+    ),
+    max_size=40,
+)
+
+
+class TestFlowTableOrder:
+    @given(_ops)
+    @settings(deadline=None)
+    def test_random_sequences_keep_sorted_order(self, ops):
+        """Insertion by bisection equals the full stable re-sort, ties included."""
+        table, oracle = FlowTable(), []
+        now = 0.0
+        for op, arg in ops:
+            if op == "add":
+                table.add(arg)
+                _sorted_oracle_add(oracle, arg)
+            elif op == "remove" and oracle:
+                rule = oracle[arg % len(oracle)]
+                table.remove(rule)
+                oracle.remove(rule)
+            elif op == "cookie":
+                removed = table.remove_by_cookie(arg)
+                kept = [rule for rule in oracle if rule.cookie != arg]
+                assert removed == len(oracle) - len(kept)
+                oracle[:] = kept
+            elif op == "hit" and oracle:
+                now += 1.0
+                oracle[arg % len(oracle)].record_hit(64, now)
+            elif op == "expire":
+                expired = table.expire_idle(now + arg)
+                assert [id(r) for r in expired] == [
+                    id(r)
+                    for r in oracle
+                    if r.idle_timeout is not None and now + arg - r.last_used > r.idle_timeout
+                ]
+                for rule in expired:
+                    oracle.remove(rule)
+            assert [id(rule) for rule in table] == [id(rule) for rule in oracle]
+            packet = sample_packet()
+            expected = next((r for r in oracle if r.match.matches(packet, 1)), None)
+            assert table.lookup(packet, 1) is expected

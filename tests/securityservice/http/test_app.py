@@ -16,6 +16,7 @@ from repro.securityservice.http import (
 from repro.securityservice.http.app import MAX_BODY_BYTES
 from repro.securityservice.http.wire import report_to_dict
 
+from ..test_securityservice import copy_registry
 from .test_ratelimit import Tick
 
 
@@ -130,7 +131,7 @@ class TestAdmin:
 
     def test_enroll_then_duplicate(self, small_registry, rng):
         service = IoTSecurityService(random_state=3)
-        service.train(small_registry)
+        service.train(copy_registry(small_registry))
         app = ServiceApp(service)
         fingerprints = collect_fingerprints(profile_by_name("MAXGateway"), runs=8, rng=rng)
         body = json.dumps(
