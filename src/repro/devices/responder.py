@@ -43,8 +43,10 @@ class EnvironmentResponder:
         packet = decode(frame)
         out: list[bytes] = []
         gw_mac, gw_ip = self.env.gateway_mac, self.env.gateway_ip
+        # One codec walk per frame; a frame holds at most one layer per type.
+        layers = {type(layer): layer for layer in packet.layers}
 
-        dhcp = packet.layer(DHCPMessage)
+        dhcp = layers.get(DHCPMessage)
         if dhcp is not None and dhcp.is_dhcp and packet.src_mac:
             from repro.packets.dhcp import DHCPDISCOVER, DHCPREQUEST
 
@@ -58,12 +60,12 @@ class EnvironmentResponder:
                 )
                 out.append(builder.dhcp_ack_frame(gw_mac, gw_ip, packet.src_mac, dhcp.xid, lease_ip))
 
-        arp = packet.layer(ARPPacket)
+        arp = layers.get(ARPPacket)
         if arp is not None and arp.is_request and not arp.is_gratuitous:
             if arp.target_ip == gw_ip:
                 out.append(builder.arp_reply_frame(gw_mac, gw_ip, arp.sender_mac, arp.sender_ip))
 
-        dns = packet.layer(DNSMessage)
+        dns = layers.get(DNSMessage)
         if (
             dns is not None
             and packet.is_dns
@@ -97,7 +99,7 @@ class EnvironmentResponder:
                 )
             )
 
-        segment = packet.layer(TCPSegment)
+        segment = layers.get(TCPSegment)
         if segment is not None and segment.is_syn and packet.dst_ip and packet.src_ip:
             out.append(
                 builder.tcp_synack_frame(

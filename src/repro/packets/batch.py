@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .facts import FLAG_NAMES, frame_facts
+from .facts import FLAG_NAMES, frame_facts, ip_to_str
 from .pcap import CaptureRecord
 
 __all__ = ["FLAG_NAMES", "PacketBatch"]
@@ -55,21 +55,23 @@ class PacketBatch:
         # One fact row per frame, transposed into columns in one C-level pass.
         columns = list(zip(*[frame_facts(frame) for frame in frames])) or [()] * 8
         macs, _, bits_col, raw_col, sp_col, dp_col, _, dsts = columns
-        dst_index: dict[str, int] = {}
+        # Addresses arrive as wire bytes; each distinct one is formatted once.
+        mac_strs = {mac: mac.hex(":") for mac in set(macs)}
+        dst_index: dict[bytes, int] = {}
         did_col = [
             -1 if dst is None else dst_index.setdefault(dst, len(dst_index))
             for dst in dsts
         ]
         return cls(
             timestamps=np.asarray(timestamps, dtype=np.float64),
-            src_macs=tuple(macs),
+            src_macs=tuple(map(mac_strs.__getitem__, macs)),
             flag_bits=np.array(bits_col, dtype=np.uint32),
             sizes=np.array([len(frame) for frame in frames], dtype=np.int64),
             raw=np.array(raw_col, dtype=np.uint8),
             src_ports=np.array(sp_col, dtype=np.int32),
             dst_ports=np.array(dp_col, dtype=np.int32),
             dst_ids=np.array(did_col, dtype=np.int32),
-            dst_keys=tuple(dst_index),
+            dst_keys=tuple(map(ip_to_str, dst_index)),
         )
 
     @classmethod

@@ -11,13 +11,12 @@ encrypted-traffic-compatible design.
 
 The codec objects (Ethernet, IPv4/IPv6, TCP/UDP, DHCP/DNS/SSDP/HTTP/...)
 are built only on demand: :attr:`DecodedPacket.layers` runs the codec
-walk the first time it is read.  The data plane never reads them; DHCP
+walk each time it is read.  The data plane never reads them; DHCP
 snooping, the device responder and tooling do.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import dhcp as dhcp_mod
@@ -55,6 +54,7 @@ from .facts import (
     B_TCP,
     B_UDP,
     frame_facts,
+    ip_to_str,
 )
 from .icmp import ICMPMessage, ICMPv6Message
 from .igmp import TYPE_V3_REPORT, IGMPv2Message, IGMPv3Report
@@ -134,10 +134,11 @@ class DecodedPacket(_PacketFacts):
     def layers(self) -> tuple[object, ...]:
         """Decoded codec objects, outermost first (for tooling and snooping).
 
-        Parsed on first access; never raises — a malformed inner layer
-        ends the tuple, exactly where the fact walk degrades to raw data.
+        Parsed on every read, so a caller wanting several layers reads
+        this once.  Never raises — a malformed inner layer ends the
+        tuple, exactly where the fact walk degrades to raw data.
         """
-        return _codec_layers(bytes(self.frame))
+        return _codec_layers(self.frame)
 
     def layer(self, layer_type: type) -> object | None:
         """Return the first decoded layer of the given type, if any."""
@@ -158,12 +159,12 @@ def decode(frame: bytes) -> DecodedPacket:
     src_mac, dst_mac, bits, raw, sp, dp, src_ip, dst_ip = frame_facts(frame)
     return DecodedPacket(
         len(frame),
-        src_mac,
-        dst_mac,
+        src_mac.hex(":"),
+        dst_mac.hex(":"),
         bits,
         raw == 1,
-        src_ip,
-        dst_ip,
+        None if src_ip is None else ip_to_str(src_ip),
+        None if dst_ip is None else ip_to_str(dst_ip),
         sp if sp >= 0 else None,
         dp if dp >= 0 else None,
         frame,
@@ -194,11 +195,6 @@ def _tcp_layers(segment: TCPSegment) -> list[object]:
     return []
 
 
-# Memoized by frame bytes rather than per packet (the record is a tuple
-# with no slot to cache in): repeated ``layer()`` calls on one packet, and
-# packets decoded from the same bytes, share one parse.  Sharing is safe
-# because every codec object is a frozen dataclass.
-@lru_cache(maxsize=256)
 def _codec_layers(frame: bytes) -> tuple[object, ...]:
     """Parse every codec layer of ``frame``; stop at the first that fails."""
     layers: list[object] = []

@@ -7,6 +7,9 @@ ports — without building a single codec object.  Both
 :func:`repro.packets.decoder.decode` (one frame) and
 :meth:`repro.packets.batch.PacketBatch.from_frames` (a chunk of frames)
 take their facts from it, so there is one derivation to keep correct.
+Addresses come back as their wire bytes: ``decode`` formats all four,
+while a batch keeps only source MACs and destination IPs and formats
+each distinct one once.
 
 Each helper replays exactly the validation sequence of the corresponding
 ``unpack`` codec with structure checks only (no string or tuple
@@ -19,8 +22,6 @@ two against each other.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .base import DecodeError, ipv4_to_str, ipv6_to_str
 from .dhcp import CLIENT_PORT as DHCP_CLIENT_PORT
@@ -46,7 +47,7 @@ from .ipv6 import OPTION_ROUTER_ALERT as V6_OPTION_ROUTER_ALERT
 from .ntp import PORT_NTP
 from .ssdp import PORT_SSDP, looks_like_ssdp
 
-__all__ = ["FLAG_NAMES", "FrameFacts", "frame_facts"]
+__all__ = ["FLAG_NAMES", "FrameFacts", "frame_facts", "ip_to_str"]
 
 #: Bit order of the flag word; bit ``i`` is the presence flag named
 #: ``FLAG_NAMES[i]``.  ``repro.core.features`` asserts this matches the
@@ -92,22 +93,21 @@ B_PAD = 1 << 16
 B_RALERT = 1 << 17
 
 #: ``(src_mac, dst_mac, flag_bits, raw, src_port, dst_port, src_ip, dst_ip)``;
-#: ``raw`` is 0/1 raw-data presence, a port of -1 means "no port".
-FrameFacts = tuple[str, str, int, int, int, int, str | None, str | None]
+#: addresses are wire bytes (IPs 4 or 16 long, ``None`` without an IP
+#: header), ``raw`` is 0/1 raw-data presence, a port of -1 means "no port".
+FrameFacts = tuple[bytes, bytes, int, int, int, int, bytes | None, bytes | None]
 
 # (bits, raw, src_port, dst_port) of a transport layer; None = DecodeError.
 _Transport = tuple[int, int, int, int] | None
 # (bits, raw, src_port, dst_port, src_ip, dst_ip) of a network layer.
-_Network = tuple[int, int, int, int, str | None, str | None]
+_Network = tuple[int, int, int, int, bytes | None, bytes | None]
 
 _NO_IP: _Network = (0, 1, -1, -1, None, None)
 
-# Address strings are memoized by their wire bytes: a gateway sees the
-# same few hosts over and over, and a cache hit costs a third of
-# formatting the dotted quad (an IPv6 address, a tenth).  Bounded, so
-# address churn cannot grow memory.
-_ipv4_name = lru_cache(maxsize=4096)(ipv4_to_str)
-_ipv6_name = lru_cache(maxsize=4096)(ipv6_to_str)
+
+def ip_to_str(raw: bytes) -> str:
+    """Text form of an IP address :func:`frame_facts` returned as bytes."""
+    return ipv4_to_str(raw) if len(raw) == 4 else ipv6_to_str(raw)
 
 
 # --- application-layer walks ---------------------------------------------------
@@ -272,7 +272,7 @@ def _udp_facts(inner: bytes) -> _Transport:
     return B_UDP, 1, sp, dp
 
 
-def _transport(bits: int, proto: int, inner: bytes, src: str, dst: str) -> _Network:
+def _transport(bits: int, proto: int, inner: bytes, src: bytes, dst: bytes) -> _Network:
     """Facts below a parsed IP header; ``bits`` already holds the IP bits."""
     if proto == V4_PROTO_TCP:
         t = _tcp_facts(inner)
@@ -318,8 +318,8 @@ def _ipv4_facts(payload: bytes) -> _Network:
         if kind == OPTION_ROUTER_ALERT:
             bits |= B_RALERT
         i += length
-    src = _ipv4_name(payload[12:16])
-    dst = _ipv4_name(payload[16:20])
+    src = payload[12:16]
+    dst = payload[16:20]
     proto = payload[9]
     inner = payload[ihl:total_length]
     if proto == V4_PROTO_ICMP:
@@ -340,8 +340,8 @@ def _ipv6_facts(payload: bytes) -> _Network:
     if n < 40 + payload_len:
         return _NO_IP
     bits = B_IP
-    src = _ipv6_name(payload[8:24])
-    dst = _ipv6_name(payload[24:40])
+    src = payload[8:24]
+    dst = payload[24:40]
     next_header = payload[6]
     inner = payload[40 : 40 + payload_len]
     if next_header == PROTO_HOP_BY_HOP:
@@ -389,8 +389,8 @@ def frame_facts(frame: bytes) -> FrameFacts:
     """
     if len(frame) < 14:
         raise DecodeError(f"truncated Ethernet header: need 14 bytes, have {len(frame)}")
-    dst_mac = frame[0:6].hex(":")
-    src_mac = frame[6:12].hex(":")
+    dst_mac = frame[0:6]
+    src_mac = frame[6:12]
     ethertype = (frame[12] << 8) | frame[13]
     payload = frame[14:]
     if ethertype == ETHERTYPE_IPV4:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.packets.decoder import DecodedPacket
+from repro.packets.facts import B_IP, B_TCP, B_UDP
 
 __all__ = [
     "ActionType",
@@ -73,6 +74,20 @@ class FlowMatch:
     is_udp: bool | None = None
     tp_src: int | None = None
     tp_dst: int | None = None
+    # The concrete is_ip/is_tcp/is_udp fields as one test on the packet's
+    # flag word: the bits they constrain and the value those bits must have.
+    _flag_mask: int = field(init=False, repr=False, compare=False)
+    _flag_want: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = want = 0
+        for flag, bit in ((self.is_ip, B_IP), (self.is_tcp, B_TCP), (self.is_udp, B_UDP)):
+            if flag is not None:
+                mask |= bit
+                if flag:
+                    want |= bit
+        object.__setattr__(self, "_flag_mask", mask)
+        object.__setattr__(self, "_flag_want", want)
 
     def matches(self, packet: DecodedPacket, in_port: int) -> bool:
         """Does this match cover the given decoded packet on ``in_port``?"""
@@ -82,15 +97,11 @@ class FlowMatch:
             return False
         if self.eth_dst is not None and packet.dst_mac != self.eth_dst:
             return False
-        if self.is_ip is not None and packet.is_ip != self.is_ip:
+        if packet.flag_bits & self._flag_mask != self._flag_want:
             return False
         if self.ip_src is not None and packet.src_ip != self.ip_src:
             return False
         if self.ip_dst is not None and packet.dst_ip != self.ip_dst:
-            return False
-        if self.is_tcp is not None and packet.is_tcp != self.is_tcp:
-            return False
-        if self.is_udp is not None and packet.is_udp != self.is_udp:
             return False
         if self.tp_src is not None and packet.src_port != self.tp_src:
             return False

@@ -1,5 +1,8 @@
 """OpenFlow match/action primitives and flow-table semantics."""
 
+import itertools
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +38,32 @@ class TestFlowMatch:
         assert not FlowMatch(ip_dst="52.1.1.2").matches(packet, 1)
         assert not FlowMatch(tp_dst=80).matches(packet, 1)
         assert not FlowMatch(is_udp=True).matches(packet, 1)
+
+    def test_protocol_flags_match_each_field(self):
+        # The flag word test must agree with comparing is_ip/is_tcp/is_udp
+        # one field at a time, for every wildcard/True/False combination,
+        # also on a match derived with dataclasses.replace.
+        def expected(match, packet):
+            return all(
+                want is None or got == want
+                for want, got in (
+                    (match.is_ip, packet.is_ip),
+                    (match.is_tcp, packet.is_tcp),
+                    (match.is_udp, packet.is_udp),
+                )
+            )
+
+        packets = [
+            sample_packet(),
+            decode(builder.ntp_request_frame(MAC, GW, IP, "17.1.1.1")),
+            decode(builder.arp_probe_frame(MAC, IP)),
+        ]
+        for packet in packets:
+            for is_ip, is_tcp, is_udp in itertools.product((None, True, False), repeat=3):
+                match = FlowMatch(is_ip=is_ip, is_tcp=is_tcp, is_udp=is_udp)
+                assert match.matches(packet, 1) is expected(match, packet)
+                derived = replace(match, is_tcp=not is_tcp)
+                assert derived.matches(packet, 1) is expected(derived, packet)
 
     def test_ip_src_match(self):
         packet = sample_packet()
