@@ -9,8 +9,7 @@ reference).  Both paths share the same trained classifier bank, so any label
 disagreement is a correctness bug, not noise — the harness asserts
 agreement before reporting timings.
 
-Also times serial vs. pooled training (``DeviceIdentifier.fit(n_jobs=k)``),
-whose models are byte-identical for any ``k`` by construction.
+Also times training the whole bank (``DeviceIdentifier.fit``).
 
 Run standalone (writes ``benchmarks/results/perf_identify.txt``)::
 
@@ -122,7 +121,6 @@ def run_benchmark(
     smoke: bool = False,
     runs_per_device: int | None = None,
     repetitions: int = 3,
-    n_jobs: int = 4,
     seed: int = 7,
 ) -> dict:
     if runs_per_device is None:
@@ -134,12 +132,8 @@ def run_benchmark(
     fps = [fp for label in registry.labels for fp in registry.fingerprints(label)]
 
     start = time.perf_counter()
-    identifier = DeviceIdentifier(random_state=23).fit(registry, n_jobs=1)
-    train_serial = time.perf_counter() - start
-
-    start = time.perf_counter()
-    DeviceIdentifier(random_state=23).fit(registry, n_jobs=n_jobs)
-    train_pooled = time.perf_counter() - start
+    identifier = DeviceIdentifier(random_state=23).fit(registry)
+    train_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
     baseline_labels = baseline_identify_batch(identifier, fps)
@@ -171,10 +165,7 @@ def run_benchmark(
             f"({count} fingerprints), seed {seed}"
             + (" [smoke]" if smoke else ""),
             "",
-            f"train serial   (n_jobs=1): {train_serial:8.3f} s "
-            f"({len(registry) / train_serial:6.1f} models/s)",
-            f"train pooled   (n_jobs={n_jobs}): {train_pooled:8.3f} s "
-            f"({len(registry) / train_pooled:6.1f} models/s)  [byte-identical models]",
+            f"train: {train_elapsed:8.3f} s ({len(registry) / train_elapsed:6.1f} models/s)",
             "",
             f"identify baseline (pre-PR path): {baseline_elapsed:8.3f} s "
             f"({count / baseline_elapsed:7.1f} fp/s)",
@@ -218,7 +209,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--runs", type=int, default=None, help="setup runs per device type")
     parser.add_argument("--repetitions", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=4, help="pooled-training worker count")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--output", default=None,
@@ -231,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
         smoke=args.smoke,
         runs_per_device=args.runs,
         repetitions=args.repetitions,
-        n_jobs=args.jobs,
         seed=args.seed,
     )
     print(result["report"])

@@ -153,14 +153,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
             store = ModelStore(Path(args.store))
             identifier, cache_hit = warm_start_identifier(
-                store=store, registry=registry, random_state=args.seed, n_jobs=args.jobs
+                store=store, registry=registry, random_state=args.seed
             )
             print("model store: cache hit (training skipped)" if cache_hit
                   else "model store: cache miss (trained and cached)")
         else:
-            identifier = DeviceIdentifier(random_state=args.seed).fit(
-                registry, n_jobs=args.jobs
-            )
+            identifier = DeviceIdentifier(random_state=args.seed).fit(registry)
     save_identifier(identifier, args.output)
     print(f"trained {len(identifier.labels)} classifiers -> {args.output}")
     return 0
@@ -534,7 +532,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.securityservice.http.server import DEFAULT_MAX_SPAN_RECORDS
 
-    service = IoTSecurityService(random_state=args.seed, n_jobs=args.jobs)
+    service = IoTSecurityService(random_state=args.seed)
     if args.model:
         service.identifier = load_identifier(args.model)
         print(f"loaded model with {len(service.known_types)} types from {args.model}")
@@ -547,7 +545,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
             service.identifier, cache_hit = warm_start_identifier(
                 registry, ModelStore(Path(args.store)),
-                random_state=args.seed, n_jobs=args.jobs,
+                random_state=args.seed,
             )
             print("model store: cache hit (training skipped)" if cache_hit
                   else "model store: cache miss (trained and cached)")
@@ -623,11 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--corpus", required=True, help="corpus JSON from `dataset`")
     p_train.add_argument("--output", required=True, help="model JSON output path")
     p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel training workers (-1 = all cores); models are "
-        "identical for any value given the same --seed",
-    )
     p_train.add_argument(
         "--store", default=None, metavar="DIR",
         help="warm-start model store directory: skip training when a "
@@ -756,7 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8799, help="0 = ephemeral")
     p_serve.add_argument("--seed", type=int, default=None)
-    p_serve.add_argument("--jobs", type=int, default=None, help="training workers")
     p_serve.add_argument(
         "--api-keys", default=None, metavar="FILE",
         help='JSON {"gateway_id": "key"} table; omit to serve open',

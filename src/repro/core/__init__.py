@@ -59,15 +59,13 @@ from .fingerprint import (
 from .identifier import UNKNOWN_DEVICE, DeviceIdentifier, IdentificationResult
 from .registry import DeviceTypeRegistry
 
-# Deterministic seeding/parallelism helpers live in repro.ml.parallel (the
+# Deterministic seeding helpers live in repro.ml.parallel (the
 # layer below); they are re-exported here because the identifier's
 # determinism contract is part of the core public surface.
 from repro.ml.parallel import (
     derive_entropy,
     label_rng,
     label_seed_sequence,
-    parallel_map,
-    resolve_n_jobs,
     spawn_generators,
 )
 
@@ -113,8 +111,6 @@ __all__ = [
     "label_seed_sequence",
     "normalized_distance",
     "packet_features",
-    "parallel_map",
     "port_class",
-    "resolve_n_jobs",
     "spawn_generators",
 ]

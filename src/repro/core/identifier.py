@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.ml.compiled import CompiledBank
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.parallel import derive_entropy, label_rng, parallel_map
+from repro.ml.parallel import derive_entropy, label_rng
 from repro.ml.sampling import build_binary_training_set
 from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
@@ -103,9 +103,9 @@ class DeviceIdentifier:
     random_state:
         Base entropy for training.  Each device type trains from its own
         generator derived from ``(random_state, label)``, so models are
-        byte-identical regardless of ``n_jobs``, training order, or
-        whether a type arrived via :meth:`fit` or :meth:`add_type` — and
-        inference never consumes randomness at all.
+        byte-identical regardless of training order or whether a type
+        arrived via :meth:`fit` or :meth:`add_type` — and inference never
+        consumes randomness at all.
 
     Stage 1 evaluates through a lazily built
     :class:`~repro.ml.compiled.CompiledBank` — one flat node table for
@@ -141,24 +141,16 @@ class DeviceIdentifier:
 
     # --- training ---------------------------------------------------------
 
-    def fit(
-        self, registry: DeviceTypeRegistry, *, n_jobs: int | None = None
-    ) -> "DeviceIdentifier":
+    def fit(self, registry: DeviceTypeRegistry) -> "DeviceIdentifier":
         """Train one classifier per type in the registry (from scratch).
 
-        ``n_jobs`` sets the worker-pool width (None/1 serial, -1 all
-        cores).  Each type trains from its own ``(seed, label)``-derived
-        generator, so the resulting bank is byte-identical for any
-        ``n_jobs`` value.
+        Each type trains from its own ``(seed, label)``-derived generator,
+        so every model equals the one :meth:`add_type` would train.
         """
         if len(registry) < 2:
             raise ValueError("need at least two device types to train")
-        with obs_span(obs_names.SPAN_TRAIN_FIT, types=len(registry), n_jobs=n_jobs):
-            models = parallel_map(
-                lambda label: self._train_type(registry, label),
-                registry.labels,
-                n_jobs=n_jobs,
-            )
+        with obs_span(obs_names.SPAN_TRAIN_FIT, types=len(registry)):
+            models = [self._train_type(registry, label) for label in registry.labels]
         self._models = {model.label: model for model in models}
         self.invalidate_compiled()
         return self

@@ -376,7 +376,6 @@ def warm_start_identifier(
     store: ModelStore,
     *,
     random_state: int | np.random.Generator | None = None,
-    n_jobs: int | None = None,
     **hyper_params: object,
 ) -> tuple[DeviceIdentifier, bool]:
     """Train-or-load an identifier through the model store.
@@ -393,7 +392,7 @@ def warm_start_identifier(
     cached = store.load(key)
     if cached is not None:
         return cached, True
-    identifier.fit(registry, n_jobs=n_jobs)
+    identifier.fit(registry)
     store.save(identifier, key)
     return identifier, False
 

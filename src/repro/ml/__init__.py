@@ -12,8 +12,6 @@ from .parallel import (
     derive_entropy,
     label_rng,
     label_seed_sequence,
-    parallel_map,
-    resolve_n_jobs,
     spawn_generators,
 )
 from .sampling import build_binary_training_set, negative_subsample
@@ -34,9 +32,7 @@ __all__ = [
     "label_rng",
     "label_seed_sequence",
     "negative_subsample",
-    "parallel_map",
     "per_class_accuracy",
-    "resolve_n_jobs",
     "spawn_generators",
     "stratified_kfold",
 ]

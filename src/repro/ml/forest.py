@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .parallel import parallel_map, spawn_generators
+from .parallel import spawn_generators
 from .tree import DecisionTreeClassifier
 
 __all__ = ["RandomForestClassifier"]
@@ -32,7 +32,6 @@ class RandomForestClassifier:
         max_features: int | str | None = "sqrt",
         bootstrap: bool = True,
         random_state: int | np.random.Generator | np.random.SeedSequence | None = None,
-        n_jobs: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("need at least one tree")
@@ -41,7 +40,6 @@ class RandomForestClassifier:
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.n_jobs = n_jobs
         self._rng = (
             random_state
             if isinstance(random_state, np.random.Generator)
@@ -55,8 +53,7 @@ class RandomForestClassifier:
 
         Each tree draws its bootstrap sample and split randomness from a
         child generator seeded off the forest's stream *before* any tree
-        is built, so fitting is reproducible and (via ``n_jobs``) trees
-        can be grown concurrently without changing the resulting model.
+        is built, so fitting is reproducible.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
@@ -90,7 +87,7 @@ class RandomForestClassifier:
             return tree.fit(sample_x, sample_y)
 
         tree_rngs = spawn_generators(self._rng, self.n_estimators)
-        self.trees_ = parallel_map(build, tree_rngs, n_jobs=self.n_jobs)
+        self.trees_ = [build(rng) for rng in tree_rngs]
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -1,60 +1,30 @@
-"""Deterministic seeding and parallel execution for training.
+"""Deterministic per-label seeding for training.
 
 This module sits at the bottom of the ML layer (below ``repro.core``,
 which builds the identifier on top of it — see the layering DAG in
 ``docs/static-analysis.md``).  The classifier bank trains one independent
-Random Forest per device type, which makes training embarrassingly
-parallel — but naive parallelism over a *shared* random generator would
-make results depend on worker count and scheduling order.  The helpers
-here decouple the two concerns:
-
-* every unit of work gets its **own** :class:`numpy.random.Generator`,
-  derived from the identifier's base entropy plus a stable hash of the
-  work item's label via :class:`numpy.random.SeedSequence`, so the
-  trained models are byte-identical for any ``n_jobs`` (and for
-  :meth:`~repro.core.identifier.DeviceIdentifier.add_type` vs.
-  :meth:`~repro.core.identifier.DeviceIdentifier.fit`);
-* :func:`parallel_map` runs the work through a ``concurrent.futures``
-  thread pool (order-preserving, exception-propagating) or serially when
-  ``n_jobs`` is 1/None.
-
-Threads rather than processes: the workload is numpy-heavy (releases the
-GIL in the expensive kernels) and the registry / model objects would be
-costly to pickle across process boundaries.
-
-Instrumented with ``repro.obs``: each :func:`parallel_map` call runs in
-a ``parallel.map`` span with one ``parallel.task`` span per item
-(carrying its worker-thread name, from which worker utilisation can be
-computed) — see ``docs/observability.md``.
+Random Forest per device type.  Every unit of work gets its **own**
+:class:`numpy.random.Generator`, derived from the identifier's base
+entropy plus a stable hash of the work item's label via
+:class:`numpy.random.SeedSequence`, so a trained model depends only on
+``(seed, label, corpus content)``: it is byte-identical whether the type
+arrived via :meth:`~repro.core.identifier.DeviceIdentifier.fit` or
+:meth:`~repro.core.identifier.DeviceIdentifier.add_type`, and whatever
+other types exist or the order they are trained in.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from typing import TypeVar
 
 import numpy as np
-
-from repro.obs import counter as obs_counter
-from repro.obs import gauge as obs_gauge
-from repro.obs import names as obs_names
-from repro.obs import span as obs_span
 
 __all__ = [
     "derive_entropy",
     "label_seed_sequence",
     "label_rng",
     "spawn_generators",
-    "resolve_n_jobs",
-    "parallel_map",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 def derive_entropy(
@@ -83,8 +53,8 @@ def label_seed_sequence(entropy: int, label: str) -> np.random.SeedSequence:
     """A :class:`~numpy.random.SeedSequence` unique to ``(entropy, label)``.
 
     The label contributes through a SHA-256 digest, so the sequence depends
-    only on the pair — not on how many other labels exist, the order they
-    are trained in, or which worker picks the job up.
+    only on the pair — not on how many other labels exist or the order
+    they are trained in.
     """
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
@@ -101,53 +71,10 @@ def spawn_generators(rng: np.random.Generator, n: int) -> list[np.random.Generat
 
     Children are seeded from integer draws on the parent stream (not
     :meth:`~numpy.random.Generator.spawn`, which needs numpy ≥ 1.25), so the
-    result depends only on the parent's state — never on worker count.
+    result depends only on the parent's state.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     seeds = rng.integers(0, 2**63, size=n)
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
-
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Worker count for ``n_jobs``: None/1 ⇒ serial, -1 ⇒ all cores."""
-    if n_jobs is None:
-        return 1
-    if n_jobs == -1:
-        return os.cpu_count() or 1
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be a positive integer, -1, or None")
-    return int(n_jobs)
-
-
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T] | Sequence[_T],
-    *,
-    n_jobs: int | None = None,
-) -> list[_R]:
-    """``[fn(item) for item in items]``, optionally on a thread pool.
-
-    Output order always matches input order and the first worker exception
-    is re-raised in the caller, so swapping ``n_jobs`` can never change
-    semantics — only wall-clock time.
-    """
-    work = list(items)
-    workers = min(resolve_n_jobs(n_jobs), len(work))
-    obs_gauge(obs_names.METRIC_PARALLEL_WORKERS).set(workers)
-    obs_counter(obs_names.METRIC_PARALLEL_ITEMS).inc(len(work))
-
-    def run(index_item: tuple[int, _T]) -> _R:
-        index, item = index_item
-        with obs_span(
-            obs_names.SPAN_PARALLEL_TASK,
-            index=index,
-            thread=threading.current_thread().name,
-        ):
-            return fn(item)
-
-    with obs_span(obs_names.SPAN_PARALLEL_MAP, workers=workers, items=len(work)):
-        if workers <= 1:
-            return [run(pair) for pair in enumerate(work)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, enumerate(work)))

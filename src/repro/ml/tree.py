@@ -5,6 +5,18 @@ classification tree of Breiman's Random Forests [23] that the paper uses
 for its one-classifier-per-device-type bank.  Features are numeric (the
 fingerprint vectors are binary/integer); splits are of the form
 ``x[feature] <= threshold``.
+
+Split search is one pass per node over all ``k`` candidate features
+(:func:`_split_search`): one column-wise sort of the ``(k, n)`` candidate
+submatrix, then class counts per *run* of equal values, prefix-summed
+along each column.  A split can only fall between two runs, and the
+fingerprint features are small integers with few distinct values, so the
+gini arithmetic runs on one row per run boundary instead of one per
+training row; its cost no longer grows with ``n × k × classes``.  The
+arithmetic, the tie rules (first position within a feature, first
+candidate across features) and the node's single feature draw are those
+of the textbook per-feature scan kept in ``tests/oracles.py``, so trees
+are byte-identical to it.
 """
 
 from __future__ import annotations
@@ -38,38 +50,54 @@ def _gini_from_counts(counts: np.ndarray, total: float) -> float:
     return 1.0 - float(np.dot(fractions, fractions))
 
 
-def _best_split(
-    x_sorted_col: np.ndarray,
-    y_sorted: np.ndarray,
-    n_classes: int,
-) -> tuple[float, float]:
-    """Best (threshold, gini-weighted impurity) for one pre-sorted column.
+def _split_search(
+    x: np.ndarray, y: np.ndarray, candidates: np.ndarray, counts: np.ndarray
+) -> tuple[int, float, float]:
+    """Best ``(feature, threshold, weighted gini)`` over the candidate columns.
 
-    Scans the prefix class counts so each candidate threshold is evaluated
-    in O(classes) after an O(n log n) sort.
+    ``counts`` are the node's class counts.  Every candidate column is
+    sorted at once; a split may follow any position whose next sorted value
+    is larger by more than 1e-12.  The lowest weighted gini wins, ties
+    going to the first candidate in ``candidates`` order and, within it, to
+    the first position.  ``(-1, nan, inf)`` means no candidate has two
+    distinct values.  The sort need not be stable: only the values and the
+    class counts of each run of equal values are read, and neither depends
+    on the order of rows inside a run.
     """
-    n = len(y_sorted)
-    one_hot = np.zeros((n, n_classes))
-    one_hot[np.arange(n), y_sorted] = 1.0
-    prefix = np.cumsum(one_hot, axis=0)
-    total = prefix[-1]
-    # Candidate split positions: where consecutive values differ.
-    diffs = np.nonzero(np.diff(x_sorted_col) > 1e-12)[0]
-    if len(diffs) == 0:
-        return np.nan, np.inf
-    left_counts = prefix[diffs]
-    left_sizes = diffs + 1.0
-    right_counts = total - left_counts
+    n, n_classes = len(y), len(counts)
+    sub = x.T[candidates]
+    order = np.argsort(sub, axis=1)
+    x_sorted = sub.ravel()[order + np.arange(0, sub.size, n)[:, None]]
+    steps = x_sorted[:, 1:] - x_sorted[:, :-1] > 1e-12
+    columns, positions = np.nonzero(steps)
+    if len(columns) == 0:
+        return -1, np.nan, np.inf
+    # Number the runs of equal values across all columns: a run starts at
+    # each column's first row and after each step.
+    starts = np.ones((len(candidates), n), dtype=np.int64)
+    starts[:, 1:] = steps
+    run = np.cumsum(starts) - 1
+    run_counts = np.bincount(
+        run * n_classes + y[order].ravel(), minlength=(int(run[-1]) + 1) * n_classes
+    )
+    # Every column holds all n rows, so the columns before column j add up
+    # to j * counts; subtracting that leaves column j's own prefix counts.
+    prefix = np.cumsum(run_counts.reshape(-1, n_classes), axis=0)
+    left_counts = prefix[run[columns * n + positions]] - columns[:, None] * counts
+    left_sizes = positions + 1.0
+    right_counts = counts - left_counts
     right_sizes = n - left_sizes
     left_frac = left_counts / left_sizes[:, None]
     right_frac = right_counts / right_sizes[:, None]
     left_gini = 1.0 - np.einsum("ij,ij->i", left_frac, left_frac)
     right_gini = 1.0 - np.einsum("ij,ij->i", right_frac, right_frac)
     weighted = (left_sizes * left_gini + right_sizes * right_gini) / n
+    # nonzero lists boundaries by candidate, then by position, so the first
+    # minimum is the first candidate's first position at the lowest score.
     best = int(np.argmin(weighted))
-    position = diffs[best]
-    threshold = (x_sorted_col[position] + x_sorted_col[position + 1]) / 2.0
-    return float(threshold), float(weighted[best])
+    column, position = columns[best], positions[best]
+    threshold = (x_sorted[column, position] + x_sorted[column, position + 1]) / 2.0
+    return int(candidates[column]), float(threshold), float(weighted[best])
 
 
 class DecisionTreeClassifier:
@@ -146,13 +174,8 @@ class DecisionTreeClassifier:
         ):
             return self._leaf(y, n_classes)
         candidates = self._rng.choice(x.shape[1], size=k_features, replace=False)
-        best_feature, best_threshold, best_score = -1, np.nan, np.inf
-        for feature in candidates:
-            order = np.argsort(x[:, feature], kind="stable")
-            threshold, score = _best_split(x[order, feature], y[order], n_classes)
-            if score < best_score:
-                best_feature, best_threshold, best_score = int(feature), threshold, score
-        if best_feature < 0 or not np.isfinite(best_score):
+        best_feature, best_threshold, _ = _split_search(x, y, candidates, counts)
+        if best_feature < 0:
             return self._leaf(y, n_classes)
         mask = x[:, best_feature] <= best_threshold
         if not mask.any() or mask.all():

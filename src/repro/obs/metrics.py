@@ -2,8 +2,8 @@
 
 Metrics are organised as *families* (one per name) holding label-keyed
 children, mirroring the Prometheus data model so the text exporter is a
-straight rendering.  Everything is thread-safe (``parallel_map`` workers
-increment concurrently) and stdlib-only.
+straight rendering.  Everything is thread-safe (the HTTP server's
+handler threads increment concurrently) and stdlib-only.
 
 Histogram buckets are **fixed at creation**: each bucket is an inclusive
 upper bound (``value <= bound``), a ``+Inf`` bucket is always implied,

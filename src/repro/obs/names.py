@@ -29,8 +29,6 @@ __all__ = [
     "SPAN_EXTRACT_BATCH",
     "SPAN_TRAIN_FIT",
     "SPAN_TRAIN_TYPE",
-    "SPAN_PARALLEL_MAP",
-    "SPAN_PARALLEL_TASK",
     "SPAN_SERVICE_BATCH",
     "SPAN_TRANSPORT_SUBMIT",
     "SPAN_TRANSPORT_ATTEMPT",
@@ -46,8 +44,6 @@ __all__ = [
     "METRIC_IDENTIFICATIONS",
     "METRIC_DISCRIMINATIONS",
     "METRIC_TYPES_TRAINED",
-    "METRIC_PARALLEL_WORKERS",
-    "METRIC_PARALLEL_ITEMS",
     "METRIC_REPORTS_HANDLED",
     "METRIC_DIRECTIVES",
     "METRIC_PACKET_INS",
@@ -93,10 +89,6 @@ SPAN_EXTRACT_BATCH = "extract.batch"
 SPAN_TRAIN_FIT = "train.fit"
 #: Training one device type's binary forest + reference selection.
 SPAN_TRAIN_TYPE = "train.type"
-#: One ``parallel_map`` invocation (serial or thread-pooled).
-SPAN_PARALLEL_MAP = "parallel.map"
-#: One work item inside ``parallel_map`` (carries worker-thread identity).
-SPAN_PARALLEL_TASK = "parallel.task"
 #: One ``IoTSecurityService.handle_reports`` batch (shared stage-1 pass);
 #: a single ``handle_report`` is a batch of one.
 SPAN_SERVICE_BATCH = "service.handle_reports"
@@ -130,10 +122,6 @@ METRIC_IDENTIFICATIONS = "identify_identifications_total"
 METRIC_DISCRIMINATIONS = "identify_discriminations_total"
 #: Device-type classifiers trained (fit + incremental add_type).
 METRIC_TYPES_TRAINED = "train_types_trained_total"
-#: Worker-pool width of the most recent ``parallel_map`` call.
-METRIC_PARALLEL_WORKERS = "parallel_map_workers"
-#: Work items executed through ``parallel_map``.
-METRIC_PARALLEL_ITEMS = "parallel_map_items_total"
 #: Fingerprint reports handled by the IoTSSP.
 METRIC_REPORTS_HANDLED = "service_reports_handled_total"
 #: Isolation directives issued, labelled ``level`` (Fig. 3 levels).
@@ -192,8 +180,6 @@ SPAN_NAMES = frozenset(
         SPAN_EXTRACT_BATCH,
         SPAN_TRAIN_FIT,
         SPAN_TRAIN_TYPE,
-        SPAN_PARALLEL_MAP,
-        SPAN_PARALLEL_TASK,
         SPAN_SERVICE_BATCH,
         SPAN_TRANSPORT_SUBMIT,
         SPAN_TRANSPORT_ATTEMPT,
@@ -214,8 +200,6 @@ METRIC_NAMES = frozenset(
         METRIC_IDENTIFICATIONS,
         METRIC_DISCRIMINATIONS,
         METRIC_TYPES_TRAINED,
-        METRIC_PARALLEL_WORKERS,
-        METRIC_PARALLEL_ITEMS,
         METRIC_REPORTS_HANDLED,
         METRIC_DIRECTIVES,
         METRIC_PACKET_INS,

@@ -2,8 +2,8 @@
 
 A :class:`Tracer` hands out :class:`Span` context managers; nesting is
 tracked per thread, so a span opened while another is active records it
-as its parent, and spans opened on ``parallel_map`` worker threads start
-fresh trees (their worker identity travels in attributes instead).
+as its parent, and spans opened on other threads (the HTTP server's
+handler threads, say) start fresh trees.
 
 The clock is injected (default :func:`time.perf_counter`) for two
 reasons: tests substitute a fake clock for fully deterministic span

@@ -43,12 +43,8 @@ class IoTSecurityService:
         vulndb: VulnerabilityDatabase | None = None,
         endpoint_directory: Mapping[str, frozenset[str]] | None = None,
         random_state: int | np.random.Generator | None = None,
-        n_jobs: int | None = None,
     ) -> None:
         self.identifier = identifier or DeviceIdentifier(random_state=random_state)
-        #: Worker-pool width for bulk training (None/1 serial, -1 all cores).
-        #: Trained models are identical for any value; see repro.ml.parallel.
-        self.n_jobs = n_jobs
         self.vulndb = vulndb if vulndb is not None else seed_database()
         self.endpoint_directory = dict(endpoint_directory or {})
         self._registry = DeviceTypeRegistry()
@@ -60,7 +56,7 @@ class IoTSecurityService:
     def train(self, registry: DeviceTypeRegistry) -> None:
         """Bulk-train from a labelled corpus (initial lab ground truth)."""
         self._registry = registry
-        self.identifier.fit(registry, n_jobs=self.n_jobs)
+        self.identifier.fit(registry)
 
     def adopt_model(self, registry: DeviceTypeRegistry, identifier: DeviceIdentifier) -> None:
         """Install a pre-trained identifier (e.g. a ModelStore warm start).

@@ -172,7 +172,6 @@ class ShardedSecurityService:
         vulndb: VulnerabilityDatabase | None = None,
         endpoint_directory: Mapping[str, frozenset[str]] | None = None,
         random_state: int | np.random.Generator | None = None,
-        n_jobs: int | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -180,7 +179,6 @@ class ShardedSecurityService:
         self.vulndb = vulndb if vulndb is not None else seed_database()
         self._endpoint_directory = dict(endpoint_directory or {})
         self._entropy = derive_entropy(random_state)
-        self.n_jobs = n_jobs
         self.ring = HashRing(vnodes=vnodes, seed=ring_seed)
         self.shards: dict[str, IoTSecurityService] = {}
         self._registry: DeviceTypeRegistry | None = None
@@ -208,7 +206,6 @@ class ShardedSecurityService:
             vulndb=self.vulndb,
             endpoint_directory=self._endpoint_directory,
             random_state=self._entropy,
-            n_jobs=self.n_jobs,
         )
         if self._registry is not None:
             self._train_shard(shard, self._registry)
@@ -247,9 +244,7 @@ class ShardedSecurityService:
         if self.store is None:
             shard.train(registry)
             return
-        identifier, hit = warm_start_identifier(
-            registry, self.store, random_state=self._entropy, n_jobs=self.n_jobs
-        )
+        identifier, hit = warm_start_identifier(registry, self.store, random_state=self._entropy)
         self.cache_hits += int(hit)
         shard.adopt_model(registry, identifier)
 

@@ -1,7 +1,7 @@
-"""Deterministic parallel-training tests (repro.ml.parallel).
+"""Deterministic training tests (repro.ml.parallel).
 
-The contract under test: worker count, training order, and fit-vs-add_type
-never change a trained model — only wall-clock time.  The helpers live in
+The contract under test: training order, the other types present, and
+fit-vs-add_type never change a trained model.  The seeding helpers live in
 ``repro.ml.parallel`` (the layer below core) and are re-exported from
 ``repro.core``.
 """
@@ -16,52 +16,12 @@ from repro.core import (
     derive_entropy,
     label_rng,
     label_seed_sequence,
-    parallel_map,
-    resolve_n_jobs,
     spawn_generators,
 )
 from repro.core.persistence import identifier_to_dict
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.serialize import forest_to_dict
 
 from .test_registry_identifier import synthetic_registry
-
-
-class TestResolveNJobs:
-    def test_serial_defaults(self):
-        assert resolve_n_jobs(None) == 1
-        assert resolve_n_jobs(1) == 1
-
-    def test_explicit_counts(self):
-        assert resolve_n_jobs(4) == 4
-
-    def test_all_cores(self):
-        assert resolve_n_jobs(-1) >= 1
-
-    @pytest.mark.parametrize("bad", [0, -2, -17])
-    def test_invalid_rejected(self, bad):
-        with pytest.raises(ValueError):
-            resolve_n_jobs(bad)
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        items = list(range(50))
-        assert parallel_map(lambda x: x * 2, items, n_jobs=4) == [x * 2 for x in items]
-
-    def test_serial_equals_parallel(self):
-        items = ["a", "bb", "ccc"]
-        assert parallel_map(len, items, n_jobs=1) == parallel_map(len, items, n_jobs=3)
-
-    def test_propagates_exceptions(self):
-        def boom(x):
-            raise RuntimeError(f"worker {x}")
-
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2, 3], n_jobs=2)
-
-    def test_empty_input(self):
-        assert parallel_map(len, [], n_jobs=4) == []
 
 
 class TestSeeding:
@@ -105,14 +65,6 @@ def _model_dict(identifier):
 
 
 class TestFitDeterminism:
-    def test_fit_byte_identical_for_any_n_jobs(self):
-        registry = synthetic_registry(n_types=5, per_type=8)
-        serial = DeviceIdentifier(random_state=99).fit(registry, n_jobs=1)
-        dumps = _model_dict(serial)
-        for n_jobs in (2, 4, -1):
-            parallel = DeviceIdentifier(random_state=99).fit(registry, n_jobs=n_jobs)
-            assert _model_dict(parallel) == dumps
-
     def test_fit_independent_of_other_types(self):
         # A type's model depends only on (seed, label, corpus content) —
         # retraining after unrelated additions reproduces it exactly.
@@ -138,14 +90,6 @@ class TestForestDeterminism:
         x = rng.normal(size=(120, 6))
         y = (x[:, 0] + x[:, 1] > 0).astype(int)
         return x, y
-
-    def test_n_jobs_does_not_change_model(self):
-        x, y = self._data()
-        serial = RandomForestClassifier(n_estimators=9, random_state=7, n_jobs=1).fit(x, y)
-        threaded = RandomForestClassifier(n_estimators=9, random_state=7, n_jobs=3).fit(x, y)
-        assert json.dumps(forest_to_dict(serial), sort_keys=True) == json.dumps(
-            forest_to_dict(threaded), sort_keys=True
-        )
 
     def test_seed_sequence_accepted(self):
         x, y = self._data()

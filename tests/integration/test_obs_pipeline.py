@@ -11,7 +11,6 @@ import numpy as np
 from repro.core import DeviceIdentifier, fingerprint_from_records
 from repro.devices import profile_by_name, simulate_setup_capture
 from repro.gateway import DeviceMonitor
-from repro.ml.parallel import parallel_map
 from repro.obs import RecordingProvider, metrics_snapshot, names, use_provider
 from repro.packets.decoder import decode
 from repro.securityservice import FingerprintReport, IoTSecurityService
@@ -172,19 +171,3 @@ class TestMonitorPath:
         assert opened["labels"] == {"mode": "setup"} and opened["value"] == 1.0
         (completed,) = snap[names.METRIC_SESSIONS_COMPLETED]["samples"]
         assert completed["labels"] == {"mode": "setup"} and completed["value"] == 1.0
-
-
-class TestParallelPath:
-    def test_parallel_map_spans_and_pool_metrics(self):
-        provider = RecordingProvider()
-        with use_provider(provider):
-            out = parallel_map(lambda x: 2 * x, [1, 2, 3], n_jobs=2)
-        assert out == [2, 4, 6]
-        (map_span,) = provider.tracer.records_named(names.SPAN_PARALLEL_MAP)
-        assert map_span.attributes == {"workers": 2, "items": 3}
-        tasks = provider.tracer.records_named(names.SPAN_PARALLEL_TASK)
-        assert sorted(t.attributes["index"] for t in tasks) == [0, 1, 2]
-        assert all("thread" in t.attributes for t in tasks)
-        snap = metrics_snapshot(provider.metrics)
-        assert snap[names.METRIC_PARALLEL_WORKERS]["samples"][0]["value"] == 2.0
-        assert snap[names.METRIC_PARALLEL_ITEMS]["samples"][0]["value"] == 3.0

@@ -23,7 +23,7 @@ CHILD = SpanRecord(
     duration=0.002, attributes={},
 )
 ORPHAN = SpanRecord(
-    name="parallel.task", span_id=9, parent_id=99, start=10.002,
+    name="train.type", span_id=9, parent_id=99, start=10.002,
     duration=0.001, attributes={},
 )
 
@@ -69,7 +69,7 @@ class TestRenderTraceTree:
         out = render_trace_tree([CHILD, ROOT, ORPHAN])
         lines = out.splitlines()
         assert lines[0].startswith("identify ")
-        assert lines[-1] == "parallel.task  1.000 ms"
+        assert lines[-1] == "train.type  1.000 ms"
 
     def test_siblings_sorted_by_start(self):
         later = SpanRecord(

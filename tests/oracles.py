@@ -8,6 +8,9 @@
   facts straight off the wire bytes (:mod:`repro.packets.facts`);
   :func:`layered_decode` derives them from the codec objects instead,
   parsing every layer and reading each fact off the parsed header.
+* Per-feature split scan: ``DecisionTreeClassifier`` scores all candidate
+  features of a node in one pass (``repro.ml.tree._split_search``);
+  :func:`scan_split_search` sorts and scans one candidate at a time.
 """
 
 import numpy as np
@@ -61,6 +64,47 @@ def interpreted_candidates(identifier, fingerprints):
         for row in np.flatnonzero(positive >= identifier.accept_threshold):
             candidates[int(row)].append(label)
     return candidates
+
+
+def _best_column_split(x_sorted_col, y_sorted, n_classes):
+    """Best (threshold, weighted gini) for one pre-sorted column."""
+    n = len(y_sorted)
+    one_hot = np.zeros((n, n_classes))
+    one_hot[np.arange(n), y_sorted] = 1.0
+    prefix = np.cumsum(one_hot, axis=0)
+    total = prefix[-1]
+    # Candidate split positions: where consecutive values differ.
+    diffs = np.nonzero(np.diff(x_sorted_col) > 1e-12)[0]
+    if len(diffs) == 0:
+        return np.nan, np.inf
+    left_counts = prefix[diffs]
+    left_sizes = diffs + 1.0
+    right_counts = total - left_counts
+    right_sizes = n - left_sizes
+    left_frac = left_counts / left_sizes[:, None]
+    right_frac = right_counts / right_sizes[:, None]
+    left_gini = 1.0 - np.einsum("ij,ij->i", left_frac, left_frac)
+    right_gini = 1.0 - np.einsum("ij,ij->i", right_frac, right_frac)
+    weighted = (left_sizes * left_gini + right_sizes * right_gini) / n
+    best = int(np.argmin(weighted))
+    position = diffs[best]
+    threshold = (x_sorted_col[position] + x_sorted_col[position + 1]) / 2.0
+    return float(threshold), float(weighted[best])
+
+
+def scan_split_search(x, y, candidates, counts):
+    """Best (feature, threshold, weighted gini): one sort and scan per candidate.
+
+    Same signature as ``repro.ml.tree._split_search``; the first candidate
+    with the strictly smallest score wins.
+    """
+    best_feature, best_threshold, best_score = -1, np.nan, np.inf
+    for feature in candidates:
+        order = np.argsort(x[:, feature], kind="stable")
+        threshold, score = _best_column_split(x[order, feature], y[order], len(counts))
+        if score < best_score:
+            best_feature, best_threshold, best_score = int(feature), threshold, score
+    return best_feature, best_threshold, best_score
 
 
 #: Every fact :func:`layered_decode` reports, with its value when the

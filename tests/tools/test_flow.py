@@ -206,7 +206,7 @@ class TestThreadEntries:
         assert graph.thread_entries == {"repro.t.loop"}
 
     def test_nested_function_entry_and_reachability(self):
-        # The ml/parallel shape: a nested ``run`` handed to pool.map.
+        # A nested ``run`` handed to a thread pool's ``map``.
         project = project_of(
             {
                 "src/repro/t.py": (

@@ -13,7 +13,7 @@ questions the flow checkers keep asking:
 Qualified names are dotted throughout: ``repro.gateway.monitor`` for a
 module, ``repro.gateway.monitor.DeviceMonitor`` for a class,
 ``repro.gateway.monitor.DeviceMonitor.observe`` for a method and
-``repro.ml.parallel.parallel_map.run`` for a function nested inside
+``repro.ml.forest.RandomForestClassifier.fit.build`` for a function nested inside
 another.  Files that fail to parse are skipped here — the runner already
 reports them as SL000.
 """
@@ -248,7 +248,7 @@ class Project:
         """Resolve a dotted expression used in ``module`` to a qualname.
 
         ``dotted`` is what the source spells (``obs_names.METRIC_X``,
-        ``DeviceMonitor``, ``parallel.parallel_map``); the head segment is
+        ``DeviceMonitor``, ``parallel.spawn_generators``); the head segment is
         expanded through the module's import table, then matched against
         known modules, classes and functions.  Returns the project
         qualname, or None for anything external/unresolvable.
