@@ -8,9 +8,7 @@ inert singleton.  This harness pins that contract from two angles:
 * **micro** — ns/op for a no-op span enter/exit and a no-op counter
   increment, next to their recording-provider equivalents;
 * **macro** — identify throughput on a small corpus under the no-op
-  provider vs. under a recording provider (the no-op column is what
-  ``bench_perf_identify.py`` compares against the pre-instrumentation
-  baseline; acceptance is < 3% regression there).
+  provider vs. under a recording provider.
 
 Run standalone (writes ``benchmarks/results/obs_overhead.txt``)::
 

@@ -25,7 +25,6 @@ from .extractor import (
     RateDropDetector,
     SetupPhaseDetector,
     fingerprint_from_records,
-    fingerprint_from_records_batch,
 )
 from .persistence import (
     ModelStore,
@@ -43,10 +42,8 @@ from .features import (
     INTEGER_FEATURES,
     NUM_FEATURES,
     DestinationCounter,
-    batch_features,
     packet_features,
     port_class,
-    port_class_array,
 )
 from .constants import FIXED_VECTOR_DIM
 from .fingerprint import (
@@ -96,16 +93,13 @@ __all__ = [
     "IdentificationResult",
     "RateDropDetector",
     "SetupPhaseDetector",
-    "batch_features",
     "damerau_levenshtein",
     "damerau_levenshtein_unrestricted",
     "dedupe_consecutive",
     "derive_entropy",
     "dissimilarity_score",
     "fingerprint_from_records",
-    "fingerprint_from_records_batch",
     "fixed_vector",
-    "port_class_array",
     "intern_symbol",
     "label_rng",
     "label_seed_sequence",

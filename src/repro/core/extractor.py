@@ -16,31 +16,23 @@ extraction" row) — see ``docs/observability.md``.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs import names as obs_names
 from repro.obs import span as obs_span
-from repro.packets.batch import PacketBatch
 from repro.packets.decoder import DecodedPacket, decode
 from repro.packets.pcap import CaptureRecord
 
-from .features import DestinationCounter, batch_features, packet_features
+from .features import DestinationCounter, packet_features
 from .fingerprint import Fingerprint
-
-#: Chunks at or below this size run the scalar detector loop inside
-#: :meth:`FingerprintExtractor.add_batch`; per-call numpy overhead beats
-#: vectorization on the tiny per-device slices a fleet sweep produces.
-_DETECTOR_VECTOR_MIN = 32
 
 __all__ = [
     "SetupPhaseDetector",
     "RateDropDetector",
     "FingerprintExtractor",
     "fingerprint_from_records",
-    "fingerprint_from_records_batch",
 ]
 
 
@@ -76,56 +68,6 @@ class SetupPhaseDetector:
         self._last_ts = timestamp
         self._count += 1
         return False
-
-    @property
-    def last_timestamp(self) -> float | None:
-        """Timestamp of the last accepted packet (None before the first)."""
-        return self._last_ts
-
-    def observe_batch(self, timestamps: np.ndarray) -> tuple[int, bool]:
-        """Vectorized equivalent of repeated :meth:`observe` calls.
-
-        Returns ``(accepted, fired)``: ``accepted`` packets were absorbed
-        into the phase (their features belong in the fingerprint) and
-        ``fired`` says whether the next packet ended it.  A backwards
-        timestamp raises ValueError after the prefix before it has been
-        absorbed — exactly where the scalar loop would raise, including
-        the raise-beats-fire tie on the same packet.
-        """
-        ts = np.asarray(timestamps, dtype=np.float64)
-        n = ts.shape[0]
-        if n == 0:
-            return 0, False
-        start = 0
-        if self._first_ts is None:
-            self._first_ts = self._last_ts = float(ts[0])
-            self._count = 1
-            start = 1
-        rest = ts[start:]
-        m = rest.shape[0]
-        if m == 0:
-            return start, False
-        prev = np.empty_like(rest)
-        prev[0] = self._last_ts
-        prev[1:] = rest[:-1]
-        bad = np.flatnonzero(rest < prev)
-        bad_idx = int(bad[0]) if bad.size else m
-        gaps = rest - prev
-        counts = self._count + np.arange(m)
-        elapsed = rest - self._first_ts
-        fire = (
-            ((counts >= self.min_packets) & (gaps > self.idle_gap))
-            | (counts >= self.max_packets)
-            | (elapsed > self.max_duration)
-        )
-        fire_idx = int(np.argmax(fire)) if fire.any() else m
-        accepted = min(bad_idx, fire_idx)
-        if accepted:
-            self._last_ts = float(rest[accepted - 1])
-            self._count += accepted
-        if bad_idx < m and bad_idx <= fire_idx:
-            raise ValueError("timestamps must be non-decreasing")
-        return start + accepted, fire_idx < m
 
     def reset(self) -> None:
         self._first_ts = self._last_ts = None
@@ -194,11 +136,6 @@ class RateDropDetector:
         self._count += 1
         return False
 
-    @property
-    def last_timestamp(self) -> float | None:
-        """Timestamp of the last accepted packet (None before the first)."""
-        return self._last_ts
-
     def reset(self) -> None:
         self._times.clear()
         self._first_ts = self._last_ts = None
@@ -247,97 +184,6 @@ class FingerprintExtractor:
         self._vectors.append(packet_features(packet, self._counter))
         return False
 
-    def add_batch(
-        self,
-        timestamps: Sequence[float] | np.ndarray,
-        batch: PacketBatch,
-        rows: list[int] | np.ndarray | None = None,
-    ) -> tuple[int, bool]:
-        """Feed a chunk of this device's packets; returns ``(accepted, done)``.
-
-        ``rows`` selects this device's rows of ``batch`` in arrival order
-        (default: every row) with ``timestamps`` aligned entry-for-entry.
-        Semantically identical to calling :meth:`add` per packet — the
-        detector runs over the timestamps, the feature matrix is computed
-        only for the accepted prefix (so the destination counter advances
-        exactly as the scalar loop would), and a backwards timestamp
-        raises ValueError after the clean prefix before it has been
-        absorbed.
-        """
-        if rows is None:
-            n = len(batch)
-        else:
-            if isinstance(rows, np.ndarray):
-                rows = rows.tolist()
-            n = len(rows)
-        if len(timestamps) != n:
-            raise ValueError("timestamps and batch disagree on length")
-        if self._complete:
-            return 0, True
-        src = batch.src_macs
-        for mac in src if rows is None else (src[i] for i in rows):
-            if mac and mac != self.device_mac:
-                raise ValueError(
-                    f"packet from {mac} fed to extractor for {self.device_mac}"
-                )
-        if n == 0:
-            return 0, False
-        accepted, done, error = self._observe_chunk(timestamps, n)
-        if accepted:
-            sel = range(accepted) if rows is None else rows[:accepted]
-            feats = batch_features(batch, self._counter, rows=sel)
-            self._vectors.extend(feats)
-        if done:
-            self._complete = True
-            return accepted, True
-        if error is not None:
-            raise error
-        return accepted, False
-
-    def _observe_chunk(
-        self, timestamps: Sequence[float] | np.ndarray, n: int
-    ) -> tuple[int, bool, ValueError | None]:
-        """Run the detector over a chunk; returns ``(accepted, done, error)``.
-
-        The error (a backwards-timestamp ValueError) is returned rather
-        than raised so the caller can absorb the clean prefix's features
-        first, exactly as the scalar loop would.  Small chunks take the
-        scalar :meth:`~SetupPhaseDetector.observe` loop — fleet sweeps
-        splinter into tiny per-device slices where per-call array overhead
-        outweighs vectorization.
-        """
-        detector = self.detector
-        if n <= _DETECTOR_VECTOR_MIN or not hasattr(detector, "observe_batch"):
-            accepted = 0
-            for t in timestamps:
-                try:
-                    fired = detector.observe(float(t))
-                except ValueError as exc:
-                    return accepted, False, exc
-                if fired:
-                    return accepted, True, None
-                accepted += 1
-            return accepted, False, None
-        ts = np.asarray(timestamps, dtype=np.float64)
-        # Pre-split on the first timestamp a scalar add() would reject so
-        # the detector only ever sees a monotone prefix.
-        last = detector.last_timestamp
-        prev = np.empty_like(ts)
-        prev[0] = ts[0] if last is None else last
-        prev[1:] = ts[:-1]
-        bad = np.flatnonzero(ts < prev)
-        stop = int(bad[0]) if bad.size else n
-        accepted, done = detector.observe_batch(ts[:stop])
-        if done or stop == n:
-            return accepted, done, None
-        # Replay the offending timestamp through the detector so it raises
-        # exactly as the scalar path does.
-        try:
-            detector.observe(float(ts[stop]))
-        except ValueError as exc:
-            return accepted, False, exc
-        raise AssertionError("pre-split timestamp did not raise")  # pragma: no cover
-
     def finish(self) -> None:
         """Force completion (e.g. capture file exhausted)."""
         self._complete = True
@@ -372,29 +218,3 @@ def fingerprint_from_records(
         span.set(packets=extractor.packet_count)
         return extractor.fingerprint(label=label)
 
-
-def fingerprint_from_records_batch(
-    records: list[CaptureRecord],
-    device_mac: str,
-    *,
-    label: str | None = None,
-    detector: SetupPhaseDetector | None = None,
-) -> Fingerprint:
-    """Batch twin of :func:`fingerprint_from_records`: parse once, vectorize.
-
-    Parses the whole capture into a columnar :class:`PacketBatch`, slices
-    out the device's rows, and runs setup-phase detection plus feature
-    extraction over arrays.  Byte-identical output to the scalar path —
-    including error behaviour (DecodeError on a sub-Ethernet runt frame,
-    ValueError on a backwards timestamp) — pinned by the differential
-    harness in ``tests/core/test_batch_extraction.py``.  Runs inside the
-    ``extract.batch`` span.
-    """
-    with obs_span(obs_names.SPAN_EXTRACT_BATCH, records=len(records)) as span:
-        batch = PacketBatch.from_records(records)
-        rows = [i for i, mac in enumerate(batch.src_macs) if mac == device_mac]
-        extractor = FingerprintExtractor(device_mac, detector=detector)
-        extractor.add_batch(batch.timestamps[rows], batch, rows=rows)
-        extractor.finish()
-        span.set(packets=extractor.packet_count)
-        return extractor.fingerprint(label=label)

@@ -21,7 +21,6 @@ from repro.core.fingerprint import Fingerprint
 from repro.obs import counter as obs_counter
 from repro.obs import gauge as obs_gauge
 from repro.obs import names as obs_names
-from repro.packets.batch import PacketBatch
 from repro.packets.decoder import DecodedPacket
 
 __all__ = ["MonitorEvent", "DeviceMonitor"]
@@ -161,80 +160,6 @@ class DeviceMonitor:
                 return None
             return event
         return None
-
-    def observe_batch(self, batch: PacketBatch) -> list[MonitorEvent]:
-        """Feed a columnar capture chunk in one call; returns completions.
-
-        The batch twin of repeated :meth:`observe` calls: rows are grouped
-        by source MAC (arrival order preserved within each device) and each
-        device's slice runs through the vectorized extractor.  Per-packet
-        semantics are unchanged — empty/ignored/profiled MACs are skipped,
-        backwards timestamps are dropped and counted, a completion inside
-        the chunk ends that device's slice and later rows from it are
-        ignored, and with ``buffer_completions`` events queue for
-        :meth:`drain_completed` instead of being returned.  Only the event
-        *ordering* can differ from the scalar sweep: events come out
-        grouped by device first-appearance rather than interleaved by
-        firing time.
-        """
-        n = len(batch)
-        if n:
-            obs_counter(obs_names.METRIC_PACKETS_SEEN).inc(float(n))
-        groups: dict[str, list[int]] = {}
-        for i, mac in enumerate(batch.src_macs):
-            if mac:
-                groups.setdefault(mac, []).append(i)
-        ts_all = batch.timestamps.tolist()
-        events: list[MonitorEvent] = []
-        for mac, rows in groups.items():
-            if mac in self._ignore or mac in self._profiled:
-                continue
-            session = self._sessions.get(mac)
-            if session is None:
-                session = FingerprintExtractor(mac, detector=self._detector_factory())
-                self._sessions[mac] = session
-                self._modes[mac] = "setup"
-                obs_counter(obs_names.METRIC_SESSIONS_OPENED, mode="setup").inc()
-            # Clock pre-filter: a packet survives iff its timestamp is >=
-            # the running max of every earlier surviving one — dropped
-            # packets never raise the floor.  Plain Python on purpose:
-            # fleet chunks splinter into tiny per-device slices where
-            # array-call overhead dominates.
-            last = session.detector.last_timestamp
-            floor = float("-inf") if last is None else last
-            kept_rows: list[int] = []
-            kept_pos: list[int] = []
-            kept_ts: list[float] = []
-            for pos, i in enumerate(rows):
-                t = ts_all[i]
-                if t >= floor:
-                    kept_rows.append(i)
-                    kept_pos.append(pos)
-                    kept_ts.append(t)
-                    floor = t
-            accepted, done = session.add_batch(kept_ts, batch, rows=kept_rows)
-            if done:
-                # Rows past the firing packet never reach a scalar session
-                # (the device counts as profiled), so only drops before it
-                # are clock drops — and the kept rows before the firing
-                # one are exactly the accepted ones.
-                n_dropped = kept_pos[accepted] - accepted
-            else:
-                n_dropped = len(rows) - len(kept_rows)
-            if n_dropped:
-                obs_counter(obs_names.METRIC_PACKETS_DROPPED, reason="clock").inc(
-                    float(n_dropped)
-                )
-            if done:
-                obs_counter(obs_names.METRIC_DETECTOR_FIRES).inc()
-                event = self._complete(mac)
-                if self.buffer_completions:
-                    with self._lock:
-                        self._completed.append(event)
-                        self._sync_buffered_gauge()
-                else:
-                    events.append(event)
-        return events
 
     def drain_completed(self) -> list[MonitorEvent]:
         """Take (and clear) the buffered completion events, oldest first."""

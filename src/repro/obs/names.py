@@ -26,7 +26,6 @@ __all__ = [
     "SPAN_CLASSIFY_BANK",
     "SPAN_DISCRIMINATE",
     "SPAN_EXTRACT",
-    "SPAN_EXTRACT_BATCH",
     "SPAN_TRAIN_FIT",
     "SPAN_TRAIN_TYPE",
     "SPAN_SERVICE_BATCH",
@@ -83,8 +82,6 @@ SPAN_CLASSIFY_BANK = "identify.classify.bank"
 SPAN_DISCRIMINATE = "identify.discriminate"
 #: Packet records -> fingerprint (Table IV "Fingerprint extraction").
 SPAN_EXTRACT = "extract.fingerprint"
-#: Columnar batch parse + vectorized feature matrix -> fingerprint.
-SPAN_EXTRACT_BATCH = "extract.batch"
 #: Bulk-training the whole classifier bank (``DeviceIdentifier.fit``).
 SPAN_TRAIN_FIT = "train.fit"
 #: Training one device type's binary forest + reference selection.
@@ -177,7 +174,6 @@ SPAN_NAMES = frozenset(
         SPAN_CLASSIFY_BANK,
         SPAN_DISCRIMINATE,
         SPAN_EXTRACT,
-        SPAN_EXTRACT_BATCH,
         SPAN_TRAIN_FIT,
         SPAN_TRAIN_TYPE,
         SPAN_SERVICE_BATCH,

@@ -12,8 +12,8 @@ Public entry points:
 """
 
 from .base import DecodeError, EncodeError, PacketError
-from .batch import FLAG_NAMES, PacketBatch
 from .decoder import DecodedPacket, decode
+from .facts import FLAG_NAMES
 from .pcap import CaptureRecord, PcapFile, read_capture, read_pcap, write_pcap
 from .pcapng import read_pcapng
 
@@ -23,7 +23,6 @@ __all__ = [
     "DecodedPacket",
     "EncodeError",
     "FLAG_NAMES",
-    "PacketBatch",
     "PacketError",
     "PcapFile",
     "decode",

@@ -3,8 +3,7 @@
 :func:`decode` reads the observable facts of a raw Ethernet frame — which
 protocols are present, IP option flags, packet size, payload presence,
 addresses and port numbers — straight off the wire bytes through
-:func:`repro.packets.facts.frame_facts`, the same walk
-:class:`~repro.packets.batch.PacketBatch` uses, and returns them as an
+:func:`repro.packets.facts.frame_facts` and returns them as an
 immutable :class:`DecodedPacket`.  Payload *content* is deliberately not
 surfaced beyond "raw data present", matching the paper's
 encrypted-traffic-compatible design.

@@ -3,13 +3,10 @@
 :func:`frame_facts` reads everything the fingerprint features, the flow
 table and the gateway policy consume from a raw Ethernet frame —
 protocol-presence bits, IP-option flags, raw-data presence, addresses and
-ports — without building a single codec object.  Both
-:func:`repro.packets.decoder.decode` (one frame) and
-:meth:`repro.packets.batch.PacketBatch.from_frames` (a chunk of frames)
-take their facts from it, so there is one derivation to keep correct.
-Addresses come back as their wire bytes: ``decode`` formats all four,
-while a batch keeps only source MACs and destination IPs and formats
-each distinct one once.
+ports — without building a single codec object.
+:func:`repro.packets.decoder.decode` takes its facts from it, so there
+is one derivation to keep correct.  Addresses come back as their wire
+bytes, and ``decode`` formats them.
 
 Each helper replays exactly the validation sequence of the corresponding
 ``unpack`` codec with structure checks only (no string or tuple

@@ -7,16 +7,20 @@ algorithm, the patterns packed side by side into one int with guard bits;
 the plain O(n·m) table, kept here and nowhere else so that the kernel is
 always judged against an independent reading of the definition.  The
 identifier-level case checks that stage-2 discrimination on the 27-type lab
-corpus returns exactly what oracle-driven scoring returns.
+corpus returns exactly what oracle-driven scoring returns, and that
+``identify_batch`` labels every lab fingerprint as the oracle pipeline
+does: per-forest stage 1, then oracle scores with the lexicographic
+tie-break.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DeviceIdentifier, damerau_levenshtein
+from repro.core import UNKNOWN_DEVICE, DeviceIdentifier, damerau_levenshtein
 from repro.core.editdistance import osa_distances
 from repro.devices import DEVICE_PROFILES, collect_dataset
+from tests.oracles import interpreted_candidates
 
 
 def oracle_osa(a, b) -> int:
@@ -219,13 +223,15 @@ def test_discriminate_matches_oracle_on_lab_corpus(lab_identifier):
     corpus, identifier = lab_identifier
     tolerance = DeviceIdentifier.TIE_TOLERANCE
     probes = [fp for label in corpus.labels for fp in corpus.fingerprints(label)]
-    cases = [
-        (fp, candidates)
-        for fp, candidates in zip(probes, identifier.classify_batch(probes))
-        if len(candidates) > 1
-    ]
-    assert len(cases) >= 50, "the lab corpus should exercise stage 2 often"
-    for fp, candidates in cases:
+    candidate_lists = interpreted_candidates(identifier, probes)
+    assert sum(len(c) > 1 for c in candidate_lists) >= 50, (
+        "the lab corpus should exercise stage 2 often"
+    )
+    labels = []
+    for fp, candidates in zip(probes, candidate_lists):
+        if len(candidates) <= 1:
+            labels.append(candidates[0] if candidates else UNKNOWN_DEVICE)
+            continue
         winner, scores = identifier.discriminate(fp, candidates)
         expected = oracle_scores(identifier, fp, candidates)
         best = min(expected.values())
@@ -234,3 +240,8 @@ def test_discriminate_matches_oracle_on_lab_corpus(lab_identifier):
         assert sorted(label for label, score in scores.items() if score <= best + tolerance) == tied
         # Every score is exact, a hopeless candidate's included.
         assert scores == expected
+        labels.append(tied[0])
+    # End to end: identify_batch labels all 540 fingerprints as the
+    # per-forest stage 1 plus oracle stage 2 does.
+    assert len(probes) == 540
+    assert [result.label for result in identifier.identify_batch(probes)] == labels

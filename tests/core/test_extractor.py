@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import FingerprintExtractor, SetupPhaseDetector, fingerprint_from_records
-from repro.packets import CaptureRecord, builder, decode
+from repro.packets import CaptureRecord, DecodeError, builder, decode
 
 MAC = "aa:bb:cc:dd:ee:01"
 OTHER = "aa:bb:cc:dd:ee:99"
@@ -118,3 +118,13 @@ class TestFingerprintFromRecords:
         records.append(CaptureRecord(100.1, builder.arp_probe_frame(MAC, IP)))
         fp = fingerprint_from_records(records, MAC, detector=detector)
         assert len(fp) == len(frames())
+
+    def test_runt_record_raises(self):
+        records = [CaptureRecord(0.0, b"\x00" * 10)]
+        with pytest.raises(DecodeError):
+            fingerprint_from_records(records, MAC)
+
+    def test_backwards_timestamp_raises(self):
+        records = [CaptureRecord(t, f) for t, f in zip([0.0, 1.0, 0.5, 2.0], frames())]
+        with pytest.raises(ValueError):
+            fingerprint_from_records(records, MAC)

@@ -116,6 +116,24 @@ class TestFingerprint:
         fp = Fingerprint.from_vectors(vectors)
         assert np.array_equal(fp.fixed(), fixed_vector(dedupe_consecutive(vectors)))
 
+    def test_from_matrix_matches_from_vectors(self):
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, 3, size=(20, NUM_FEATURES)).astype(float)
+        rows[5] = rows[4]  # consecutive duplicates
+        rows[6] = rows[4]
+        a = Fingerprint.from_vectors(list(rows), device_mac="aa:bb:cc:dd:ee:01")
+        b = Fingerprint.from_matrix(rows, device_mac="aa:bb:cc:dd:ee:01")
+        assert a == b
+        # Oracle: the per-vector dedup loop of the paper's definition.
+        assert b.packets == tuple(tuple(v.tolist()) for v in dedupe_consecutive(list(rows)))
+        rows[8:10] = np.nan  # NaN never equals its predecessor
+        kept = dedupe_consecutive(list(rows))
+        assert len(Fingerprint.from_vectors(list(rows)).packets) == len(kept)
+        assert len(Fingerprint.from_matrix(rows).packets) == len(kept)
+        assert Fingerprint.from_matrix(np.zeros((0, NUM_FEATURES))).packets == ()
+        with pytest.raises(ValueError):
+            Fingerprint.from_matrix(np.zeros((2, NUM_FEATURES - 1)))
+
 
 class TestMemoization:
     def test_fixed_is_cached_per_length(self):

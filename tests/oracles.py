@@ -4,8 +4,8 @@
   :class:`~repro.ml.compiled.CompiledBank`; :func:`interpreted_candidates`
   recomputes the candidate lists from each type's own
   ``RandomForestClassifier.predict_proba`` over ``fixed_vector`` rows.
-* Layered frame facts: ``decode`` and ``PacketBatch`` read the Table I
-  facts straight off the wire bytes (:mod:`repro.packets.facts`);
+* Layered frame facts: ``decode`` reads the Table I facts straight off
+  the wire bytes (:mod:`repro.packets.facts`);
   :func:`layered_decode` derives them from the codec objects instead,
   parsing every layer and reading each fact off the parsed header.
 * Per-feature split scan: ``DecisionTreeClassifier`` scores all candidate

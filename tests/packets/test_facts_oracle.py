@@ -1,29 +1,31 @@
 """Oracle suite: the wire-level fact walk equals the layered codec walk.
 
-``decode`` and ``PacketBatch.from_frames`` take every Table I fact from
+``decode`` takes every Table I fact from
 :func:`repro.packets.facts.frame_facts`, which never builds a codec
 object.  ``tests.oracles.layered_decode`` derives the same facts the
 plain way, by parsing every layer and reading each fact off the parsed
 header.  Every test here checks one frame against it: every public fact
 of ``decode`` (value *and* type), ``decode(frame).layers`` against the
-oracle's layers, and every column of a one-frame ``PacketBatch``.  The
-frames are the stage-0 corpus, its truncations and byte mutations,
+oracle's layers, and the frame's 23-feature ``packet_features`` row
+against one built from the oracle's facts in ``FEATURE_NAMES`` order.
+The frames are the stage-0 corpus, its truncations and byte mutations,
 random bytes, and hypothesis-generated messages reusing the generators
 from ``tests/packets``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.packets import FLAG_NAMES, DecodedPacket, DecodeError, PacketBatch, builder, decode
+from repro.core import FEATURE_NAMES, DestinationCounter, packet_features
+from repro.packets import FLAG_NAMES, DecodedPacket, DecodeError, builder, decode
 from repro.packets.dhcp import CLIENT_PORT, SERVER_PORT
 from repro.packets.dns import PORT_DNS, PORT_MDNS
 from repro.packets.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV6, ethernet
 from repro.packets.ipv6 import HopByHopOptions, IPv6Header
 from repro.packets.ntp import PORT_NTP
 from repro.packets.ssdp import PORT_SSDP
-from tests.core.test_batch_extraction import GW, IP, MAC, corpus_frames
 from tests.oracles import FACT_DEFAULTS, layered_decode
 from tests.packets.test_roundtrip_properties import (
     arp_packets,
@@ -33,23 +35,77 @@ from tests.packets.test_roundtrip_properties import (
     ssdp_messages,
 )
 
+MAC = "aa:bb:cc:dd:ee:01"
+GW = "02:00:00:00:00:01"
+IP = "192.168.1.50"
+IP6 = "fe80::1"
+
 #: Oracle fact key of each FLAG_NAMES bit.
 FLAG_FACTS = tuple(name if name.startswith("ip_option") else f"is_{name}" for name in FLAG_NAMES)
+
+
+def corpus_frames(mac=MAC):
+    """One frame per protocol/branch the Table I features can observe."""
+    b = builder
+    return [
+        b.dhcp_discover_frame(mac, 1, "dev"),
+        b.dhcp_request_frame(mac, 1, IP, "192.168.1.1"),
+        b.bootp_request_frame(mac, 2),
+        b.arp_probe_frame(mac, IP),
+        b.arp_announce_frame(mac, IP),
+        b.dns_query_frame(mac, GW, IP, "192.168.1.1", "a.example"),
+        b.mdns_query_frame(mac, IP, "x._tcp.local"),
+        b.mdns_announce_frame(mac, IP, "inst", "x._tcp.local"),
+        b.ssdp_msearch_frame(mac, IP),
+        b.ssdp_notify_frame(mac, IP, "http://x/desc.xml", "upnp:rootdevice", "uuid:1"),
+        b.ntp_request_frame(mac, GW, IP, "17.1.1.1"),
+        b.https_client_hello_frame(mac, GW, IP, "52.1.1.1", "a.example"),
+        b.http_get_frame(mac, GW, IP, "52.1.1.1", "api.example", "/p"),
+        b.http_post_frame(mac, GW, IP, "52.1.1.1", "api.example", "/p", b"xyz"),
+        b.tcp_syn_frame(mac, GW, IP, "52.1.1.1", 1234, 80),
+        b.tcp_raw_frame(mac, GW, IP, "52.1.1.1", 1234, 9999, b"\x01\x02\x03"),
+        b.udp_raw_frame(mac, GW, IP, "52.1.1.1", 1234, 9999, b"\x01\x02"),
+        b.icmp_echo_request_frame(mac, GW, IP, "8.8.8.8", 1, 1),
+        b.icmpv6_router_solicit_frame(mac, IP6),
+        b.igmp_join_frame(mac, IP, "224.0.0.251"),
+        b.igmpv3_report_frame(mac, IP, ("224.0.0.251", "239.255.255.250")),
+        b.mldv2_report_frame(mac, IP6),
+        b.llc_frame(mac, payload=b"\xaa\xaa\x03extra"),
+        b.eapol_frame(mac, GW, 1),
+    ]
 
 
 def expected_bits(facts):
     return sum(1 << i for i, key in enumerate(FLAG_FACTS) if facts[key])
 
 
+def oracle_port_class(port):
+    """Sect. IV-A's port classes: none, well-known, registered, dynamic."""
+    if port is None:
+        return 0
+    return 1 if port <= 1023 else 2 if port <= 49151 else 3
+
+
+def expected_features(facts):
+    """The Table I row of one frame, with a fresh destination counter."""
+    values = {name: int(facts[key]) for name, key in zip(FLAG_NAMES, FLAG_FACTS)}
+    values.update(
+        packet_size=facts["size"],
+        raw_data=int(facts["has_raw_data"]),
+        dst_ip_counter=int(facts["dst_ip"] is not None),
+        src_port_class=oracle_port_class(facts["src_port"]),
+        dst_port_class=oracle_port_class(facts["dst_port"]),
+    )
+    return np.array([values[name] for name in FEATURE_NAMES], dtype=np.float64)
+
+
 def assert_matches_oracle(frame):
-    """decode, its lazy layers and a one-frame batch all equal the oracle."""
+    """decode, its lazy layers and its feature row all equal the oracle."""
     try:
         facts, layers = layered_decode(frame)
     except DecodeError:
         with pytest.raises(DecodeError):
             decode(frame)
-        with pytest.raises(DecodeError):
-            PacketBatch.from_frames([frame], [0.0])
         return
     packet = decode(frame)
     got = {key: getattr(packet, key) for key in facts}
@@ -58,16 +114,12 @@ def assert_matches_oracle(frame):
         assert type(got[key]) is type(value), (key, frame.hex())
     assert packet.flag_bits == expected_bits(facts), frame.hex()
     assert packet.layers == layers, frame.hex()
-
-    batch = PacketBatch.from_frames([frame], [0.0])
-    assert batch.src_macs == (facts["src_mac"],)
-    assert int(batch.flag_bits[0]) == expected_bits(facts)
-    assert int(batch.sizes[0]) == len(frame)
-    assert int(batch.raw[0]) == int(facts["has_raw_data"])
-    assert int(batch.src_ports[0]) == (-1 if facts["src_port"] is None else facts["src_port"])
-    assert int(batch.dst_ports[0]) == (-1 if facts["dst_port"] is None else facts["dst_port"])
-    did = int(batch.dst_ids[0])
-    assert (None if did < 0 else batch.dst_keys[did]) == facts["dst_ip"]
+    features = packet_features(packet, DestinationCounter())
+    expected = expected_features(facts)
+    assert np.array_equal(features, expected), (
+        frame.hex(),
+        [name for name, a, b in zip(FEATURE_NAMES, features, expected) if a != b],
+    )
 
 
 class TestCorpus:

@@ -1,17 +1,16 @@
 """Unit coverage for the whole-program flow substrate.
 
 Synthetic multi-module projects are built from in-memory SourceFiles so
-the tests pin exactly what the call-graph/facts/parity layers claim:
+the tests pin exactly what the call-graph/facts layers claim:
 qualified-name indexing, import-table resolution, conservative call
-edges (including thread spawns), lock/guard context in the facts pass,
-and content-hash semantics of the parity manifest.
+edges (including thread spawns) and lock/guard context in the facts
+pass.
 """
 
 import ast
 
 from tools.sentinel_lint import SourceFile
-from tools.sentinel_lint.flow import CallGraph, Project, function_facts, function_hash
-from tools.sentinel_lint.flow.parity import ParityManifest, ParityPair
+from tools.sentinel_lint.flow import CallGraph, Project, function_facts
 from tools.sentinel_lint.flow.project import module_name_for_path
 
 
@@ -328,37 +327,3 @@ class TestFunctionFacts:
         )
         assert facts.self_attr_ctors["_lock"] == ["threading.Lock"]
 
-
-class TestParityHash:
-    def fn(self, text: str):
-        return ast.parse(text).body[0]
-
-    def test_hash_ignores_docstrings_and_location(self):
-        a = self.fn("def f(x):\n    return x + 1\n")
-        b = self.fn('\n\ndef f(x):\n    """Docs changed."""\n    return x + 1\n'.lstrip())
-        assert function_hash(a) == function_hash(b)
-
-    def test_hash_sees_behavioural_change(self):
-        a = self.fn("def f(x):\n    return x + 1\n")
-        b = self.fn("def f(x):\n    return x + 2\n")
-        assert function_hash(a) != function_hash(b)
-
-    def test_manifest_round_trip_and_repin(self, tmp_path):
-        manifest = ParityManifest(
-            [
-                ParityPair(
-                    name="pair",
-                    scalar="repro.m.f",
-                    batch="repro.m.g",
-                    scalar_hash="old",
-                    batch_hash="old",
-                )
-            ]
-        )
-        path = tmp_path / "parity.json"
-        manifest.save(str(path))
-        loaded = ParityManifest.load(str(path))
-        assert loaded.pairs == manifest.pairs
-        repinned = loaded.repinned({"repro.m.f": "new"})
-        assert repinned.pairs[0].scalar_hash == "new"
-        assert repinned.pairs[0].batch_hash == "old"

@@ -1,4 +1,4 @@
-"""Fixture-project coverage for the flow-aware checkers (SL007-SL010).
+"""Fixture-project coverage for the flow-aware checkers (SL007, SL008, SL010).
 
 Each test builds a small in-memory project through
 ``check_project_sources`` — the same entry point the runner uses — with
@@ -7,12 +7,8 @@ classes, the packets/gateway directories, the obs layer) apply to the
 fixture exactly as they do to the real tree.
 """
 
-import ast
-
 from tools.sentinel_lint import SourceFile
-from tools.sentinel_lint.checkers.sl009_parity import ScalarBatchParityChecker
 from tools.sentinel_lint.checkers.sl010_obs_names import ObsNameDisciplineChecker
-from tools.sentinel_lint.flow.parity import ParityManifest, ParityPair, function_hash
 from tools.sentinel_lint.registry import get_checker
 from tools.sentinel_lint.runner import check_project_sources
 
@@ -247,94 +243,6 @@ class TestSL008GatewayBoundary:
         # _send is private (no direct finding); publish lets the fault out.
         assert len(findings) == 1
         assert "escape public gateway entry point publish" in findings[0].message
-
-
-_TWINS = (
-    "def observe(x):\n"
-    "    return x + 1\n"
-    "def observe_batch(xs):\n"
-    "    return [x + 1 for x in xs]\n"
-)
-
-
-def _hash_of(text: str, name: str) -> str:
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return function_hash(node)
-    raise AssertionError(f"no function {name!r} in fixture")
-
-
-class TestSL009Parity:
-    MODULE = "src/repro/m.py"
-
-    def checker(self):
-        checker = ScalarBatchParityChecker()
-        checker.manifest_path = "parity.json"
-        return checker
-
-    def pin(self, tmp_path, text: str) -> None:
-        ParityManifest(
-            [
-                ParityPair(
-                    name="observe",
-                    scalar="repro.m.observe",
-                    batch="repro.m.observe_batch",
-                    scalar_hash=_hash_of(text, "observe"),
-                    batch_hash=_hash_of(text, "observe_batch"),
-                )
-            ]
-        ).save(str(tmp_path / "parity.json"))
-
-    def test_pinned_twins_are_clean(self, tmp_path):
-        self.pin(tmp_path, _TWINS)
-        findings = lint(
-            {self.MODULE: _TWINS}, self.checker(), root=str(tmp_path)
-        )
-        assert findings == []
-
-    def test_one_sided_drift_is_reported_at_the_changed_twin(self, tmp_path):
-        self.pin(tmp_path, _TWINS)
-        drifted = _TWINS.replace("return x + 1", "return x + 2")
-        findings = lint(
-            {self.MODULE: drifted}, self.checker(), root=str(tmp_path)
-        )
-        assert [f.code for f in findings] == ["SL009"]
-        assert "observe changed but its twin observe_batch did not" in findings[0].message
-        assert findings[0].line == 1  # anchored at the changed scalar twin
-
-    def test_both_drifting_asks_for_a_repin(self, tmp_path):
-        self.pin(tmp_path, _TWINS)
-        drifted = _TWINS.replace("x + 1", "x + 2")  # both bodies change
-        findings = lint(
-            {self.MODULE: drifted}, self.checker(), root=str(tmp_path)
-        )
-        assert [f.code for f in findings] == ["SL009"]
-        assert "--write-parity" in findings[0].message
-
-    def test_missing_twin_only_fires_on_full_src_runs(self, tmp_path):
-        self.pin(tmp_path, _TWINS)
-        scalar_only = "def observe(x):\n    return x + 1\n"
-        checker = self.checker()
-        assert lint({self.MODULE: scalar_only}, checker, root=str(tmp_path)) == []
-        findings = lint(
-            {self.MODULE: scalar_only}, checker, root=str(tmp_path), full_src=True
-        )
-        assert [f.code for f in findings] == ["SL009"]
-        assert "missing from the tree" in findings[0].message
-
-    def test_dimension_constant_vs_literal_divergence(self, tmp_path):
-        text = (
-            "from repro.core.constants import NUM_FEATURES\n"
-            "def observe(x):\n"
-            "    return x[:NUM_FEATURES]\n"
-            "def observe_batch(xs):\n"
-            "    return [x[:23] for x in xs]\n"
-        )
-        self.pin(tmp_path, text)
-        findings = lint({self.MODULE: text}, self.checker(), root=str(tmp_path))
-        assert [f.code for f in findings] == ["SL009"]
-        assert "bare literal 23" in findings[0].message
-        assert findings[0].line == 4  # anchored at the literal-spelling twin
 
 
 _OBS_NAMES = (

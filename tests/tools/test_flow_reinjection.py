@@ -2,8 +2,7 @@
 
 Each test lints the *real* ``src`` tree with exactly one bug reintroduced
 in memory — the unlocked completion-buffer write, the ad-hoc codec
-``ValueError``, an unguarded boundary call, a scalar-only twin edit, an
-ad-hoc metric name — and asserts the matching checker fires.  The shipped
+``ValueError``, an unguarded boundary call, an ad-hoc metric name — and asserts the matching checker fires.  The shipped
 tree itself must stay clean (also enforced by ``test_regression_guard``).
 """
 
@@ -54,7 +53,7 @@ def inject_into_method(source: str, method: str, statement: str) -> str:
 
 class TestShippedTreeIsClean:
     def test_flow_checkers_find_nothing_in_src(self):
-        for code in ("SL007", "SL008", "SL009", "SL010"):
+        for code in ("SL007", "SL008", "SL010"):
             assert lint_src(code) == [], f"{code} fired on the shipped tree"
 
 
@@ -91,20 +90,6 @@ class TestSL008Reinjection:
         findings = lint_src("SL008", {MONITOR_PATH: mutated})
         assert [f.code for f in findings] == ["SL008"]
         assert "transport fault can escape" in findings[0].message
-
-
-class TestSL009Reinjection:
-    def test_scalar_only_edit_trips_the_parity_pin(self):
-        # Touch DeviceMonitor.observe without touching observe_batch: the
-        # lockfile still pins both, so the drift is one-sided.
-        mutated = inject_into_method(
-            _real_text(MONITOR_PATH),
-            "observe",
-            "_scalar_only_probe = 0",
-        )
-        findings = lint_src("SL009", {MONITOR_PATH: mutated})
-        assert [f.code for f in findings] == ["SL009"]
-        assert "observe changed but its twin observe_batch did not" in findings[0].message
 
 
 class TestSL010Reinjection:

@@ -9,7 +9,6 @@ from . import (  # noqa: F401
     sl006_mutable_defaults,
     sl007_thread_shared,
     sl008_exception_contract,
-    sl009_parity,
     sl010_obs_names,
 )
 from .base import Checker, ProjectChecker

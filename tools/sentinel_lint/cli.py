@@ -53,11 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
-        "--write-parity",
-        action="store_true",
-        help="re-pin the scalar/batch parity manifest hashes and exit 0",
-    )
-    parser.add_argument(
         "--json-out",
         default=None,
         metavar="FILE",
@@ -95,9 +90,6 @@ def main(argv: list[str] | None = None) -> int:
 
     root = os.path.abspath(args.root)
     paths = args.paths or DEFAULT_PATHS
-
-    if args.write_parity:
-        return _write_parity(root)
 
     baseline_path = args.baseline or os.path.join(root, DEFAULT_BASELINE_PATH)
     baseline = None
@@ -138,46 +130,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(render_text(result, verbose=args.verbose))
     return result.exit_code
-
-
-def _write_parity(root: str) -> int:
-    """Re-pin every parity-manifest hash from the current ``src`` tree."""
-    from .flow.parity import DEFAULT_PARITY_PATH, ParityManifest, function_hash
-    from .flow.project import Project
-    from .runner import discover_files
-    from .source import SourceFile
-
-    manifest_path = os.path.join(root, DEFAULT_PARITY_PATH)
-    try:
-        manifest = ParityManifest.load(manifest_path)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"sentinel-lint: bad parity manifest: {exc}", file=sys.stderr)
-        return 2
-    sources = [
-        SourceFile.from_path(path, os.path.join(root, path))
-        for path in discover_files(root, ["src"])
-    ]
-    project = Project(sources, root=root)
-    hashes = {
-        qualname: function_hash(info.node)
-        for qualname, info in project.functions.items()
-    }
-    unresolved = [
-        twin
-        for pair in manifest.pairs
-        for twin in (pair.scalar, pair.batch)
-        if twin not in hashes
-    ]
-    if unresolved:
-        for twin in unresolved:
-            print(f"sentinel-lint: parity twin not found: {twin}", file=sys.stderr)
-        return 2
-    manifest.repinned(hashes).save(manifest_path)
-    print(
-        f"sentinel-lint: re-pinned {len(manifest.pairs)} parity pair(s) "
-        f"in {manifest_path}"
-    )
-    return 0
 
 
 if __name__ == "__main__":

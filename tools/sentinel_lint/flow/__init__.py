@@ -2,10 +2,10 @@
 
 The per-file checkers (SL001–SL006) see one AST at a time; the contracts
 added since PR 4 — lock discipline around thread-shared state, exception
-taxonomies crossing the gateway↔IoTSSP boundary, byte-identical
-scalar/batch twin paths, canonical observability names — live *across*
-functions and modules.  This package supplies the shared substrate the
-flow-aware checkers (SL007–SL010) are built on:
+taxonomies crossing the gateway↔IoTSSP boundary, canonical observability
+names — live *across* functions and modules.  This package supplies the
+shared substrate the flow-aware checkers (SL007, SL008 and SL010) are
+built on:
 
 * :class:`~tools.sentinel_lint.flow.project.Project` — a project-wide
   module/symbol index over every scanned source file;
@@ -14,9 +14,7 @@ flow-aware checkers (SL007–SL010) are built on:
   regions, raise/except structure, thread-spawn sites);
 * :class:`~tools.sentinel_lint.flow.callgraph.CallGraph` — a
   conservative per-function call graph including
-  ``ThreadPoolExecutor.submit`` / ``Thread(target=...)`` edges;
-* :mod:`~tools.sentinel_lint.flow.parity` — the declared scalar/batch
-  parity manifest and its AST content hashes.
+  ``ThreadPoolExecutor.submit`` / ``Thread(target=...)`` edges.
 
 Everything is stdlib-``ast`` based and deterministic; the analyses are
 built once per lint run and shared by every project checker.
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 from .callgraph import CallGraph
 from .facts import FunctionFacts, function_facts
-from .parity import ParityManifest, function_hash
 from .project import FunctionInfo, Project
 
 __all__ = [
@@ -34,7 +31,5 @@ __all__ = [
     "FunctionFacts",
     "function_facts",
     "FunctionInfo",
-    "ParityManifest",
-    "function_hash",
     "Project",
 ]

@@ -199,7 +199,7 @@ class Project:
     def __init__(
         self, sources: list[SourceFile], *, full_src: bool = True, root: str = "."
     ) -> None:
-        #: Repo root — where checkers find ``parity.json`` and the docs.
+        #: Repo root — where checkers find the docs.
         self.root = root
         #: repo-relative path -> source.
         self.sources: dict[str, SourceFile] = {}
@@ -216,8 +216,8 @@ class Project:
         #: module -> import table (alias -> dotted target).
         self.imports: dict[str, dict[str, str]] = {}
         #: Was the whole ``src`` tree scanned?  Checkers that reason about
-        #: absence (unused obs names, missing parity twins) only run when
-        #: the index is known to be complete.
+        #: absence (unused obs names) only run when the index is known to
+        #: be complete.
         self.full_src = full_src
 
         self._callgraph = None

@@ -80,8 +80,8 @@ def check_source(
 def _covers_src(root: str, paths: list[str]) -> bool:
     """Do the requested paths include the whole ``src`` tree?
 
-    Project checkers that reason about *absence* (unused obs names,
-    missing parity twins) only fire when the index is known complete.
+    Project checkers that reason about *absence* (unused obs names) only
+    fire when the index is known complete.
     """
     src_dir = os.path.abspath(os.path.join(root, "src"))
     for path in paths:
