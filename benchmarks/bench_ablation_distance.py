@@ -43,7 +43,7 @@ def test_ablation_distance_variant(corpus, trained_identifier, benchmark):
             if len(candidates) < 2:
                 continue
             references = {
-                c: [ref.symbols() for ref in trained_identifier._models[c].references]
+                c: [ref.symbols() for ref in trained_identifier.snapshot.models[c].references]
                 for c in candidates
             }
             start = time.perf_counter()

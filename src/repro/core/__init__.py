@@ -5,7 +5,8 @@ Public surface:
 * :data:`FEATURE_NAMES` / :func:`packet_features` — the 23 features of Table I
 * :class:`Fingerprint` — the F / F' representations of Sect. IV-A
 * :class:`FingerprintExtractor` / :class:`SetupPhaseDetector` — traffic → F
-* :class:`DeviceIdentifier` — the two-stage pipeline of Sect. IV-B
+* :class:`DeviceIdentifier` — the two-stage pipeline of Sect. IV-B, serving
+  one immutable :class:`ModelSnapshot` at a time
 * :class:`DeviceTypeRegistry` — the IoTSSP training corpus
 """
 
@@ -53,7 +54,7 @@ from .fingerprint import (
     fixed_vector,
     intern_symbol,
 )
-from .identifier import UNKNOWN_DEVICE, DeviceIdentifier, IdentificationResult
+from .identifier import UNKNOWN_DEVICE, DeviceIdentifier, IdentificationResult, ModelSnapshot
 from .registry import DeviceTypeRegistry
 
 # Deterministic seeding helpers live in repro.ml.parallel (the
@@ -91,6 +92,7 @@ __all__ = [
     "Fingerprint",
     "FingerprintExtractor",
     "IdentificationResult",
+    "ModelSnapshot",
     "RateDropDetector",
     "SetupPhaseDetector",
     "damerau_levenshtein",

@@ -40,7 +40,7 @@ def classifier_feature_importance(
     each feature's importance across slots answers "which *kind* of
     observation matters", independent of packet position.
     """
-    model = identifier._models.get(label)
+    model = identifier.snapshot.models.get(label)
     if model is None:
         raise KeyError(label)
     flat = forest_feature_importance(

@@ -11,6 +11,8 @@ dissimilarity score in [0, 5] and the lowest score wins.
 
 New types can be added (and retired) without retraining any other model —
 the paper's scalability argument for the one-classifier-per-type design.
+Each trained bank is one immutable :class:`ModelSnapshot`; enrolling or
+retiring a type builds the next snapshot, recompiling only that type.
 
 Instrumented with ``repro.obs``: the per-stage spans (``identify``,
 ``identify.classify[.bank]``, ``identify.discriminate``) mirror the
@@ -19,12 +21,16 @@ Table IV step breakdown — see ``docs/observability.md``.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from repro.ml.compiled import CompiledBank
+from repro.ml.compiled import CompiledBank, CompiledForest, compile_forest
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.parallel import derive_entropy, label_rng
 from repro.ml.sampling import build_binary_training_set
@@ -36,7 +42,7 @@ from .editdistance import dissimilarity_scores
 from .fingerprint import DEFAULT_FP_PACKETS, Fingerprint
 from .registry import DeviceTypeRegistry
 
-__all__ = ["UNKNOWN_DEVICE", "IdentificationResult", "DeviceIdentifier"]
+__all__ = ["UNKNOWN_DEVICE", "IdentificationResult", "ModelSnapshot", "DeviceIdentifier"]
 
 #: Sentinel label returned when no classifier accepts a fingerprint.
 UNKNOWN_DEVICE = "unknown"
@@ -56,27 +62,67 @@ class IdentificationResult:
         return self.label == UNKNOWN_DEVICE
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _TypeModel:
+    """One trained type: its forest, the forest compiled, its references."""
+
     label: str
     classifier: RandomForestClassifier
-    references: list[Fingerprint]
-    _grouped_symbols: list[tuple[tuple[int, ...], int]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    compiled: CompiledForest
+    references: tuple[Fingerprint, ...]
 
-    def grouped_reference_symbols(self) -> list[tuple[tuple[int, ...], int]]:
+    @cached_property
+    def grouped_references(self) -> list[tuple[tuple[int, ...], int]]:
         """Distinct reference symbol sequences with multiplicities.
 
         Repeated setup runs often yield identical fingerprints; the
         discrimination step computes each distinct sequence's distance once
         and weights it.  Sorted for a deterministic evaluation order;
-        computed lazily and cached (references never change post-training).
+        computed on first use, after the first probe's symbols are
+        interned (references never change once trained).
         """
-        if self._grouped_symbols is None:
-            counts = Counter(ref.symbols() for ref in self.references)
-            self._grouped_symbols = sorted(counts.items())
-        return self._grouped_symbols
+        counts = Counter(ref.symbols() for ref in self.references)
+        return sorted(counts.items())
+
+
+@dataclass(frozen=True, eq=False)
+class ModelSnapshot:
+    """One immutable version of the trained classifier bank.
+
+    ``models`` maps each label to its :class:`_TypeModel`, whose
+    :class:`~repro.ml.compiled.CompiledForest` was compiled once, when
+    the type was trained (or read from an npz payload).  A successor
+    snapshot shares every unchanged ``_TypeModel`` object, so enrolling
+    one type compiles one forest.  :attr:`bank`, the stage-1
+    :class:`~repro.ml.compiled.CompiledBank`, is concatenated from those
+    per-type arrays on first read, once per snapshot.
+    """
+
+    version: int
+    models: Mapping[str, _TypeModel] = field(repr=False)
+    _bank: CompiledBank | None = field(default=None, init=False, repr=False)
+    _assembly: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        frozen = MappingProxyType({label: self.models[label] for label in sorted(self.models)})
+        object.__setattr__(self, "models", frozen)
+
+    @property
+    def labels(self) -> list[str]:
+        return list(self.models)
+
+    @property
+    def bank(self) -> CompiledBank:
+        with self._assembly:
+            bank = self._bank
+            if bank is None:
+                bank = CompiledBank([(label, model.compiled) for label, model in self.models.items()])
+                object.__setattr__(self, "_bank", bank)
+        return bank
+
+    def successor(self, models: Mapping[str, _TypeModel]) -> "ModelSnapshot":
+        """The next version, holding ``models``."""
+        return ModelSnapshot(self.version + 1, models)
 
 
 class DeviceIdentifier:
@@ -107,11 +153,17 @@ class DeviceIdentifier:
         arrived via :meth:`fit` or :meth:`add_type` — and inference never
         consumes randomness at all.
 
-    Stage 1 evaluates through a lazily built
-    :class:`~repro.ml.compiled.CompiledBank` — one flat node table for
-    the whole classifier bank, traversed with vectorized gathers and
-    byte-identical to each forest's own ``predict_proba``.  The bank is
-    rebuilt automatically after :meth:`fit`/:meth:`add_type`/:meth:`remove_type`.
+    The trained bank is one immutable :class:`ModelSnapshot` held by a
+    single reference (:attr:`snapshot`).  :meth:`fit`, :meth:`add_type`
+    and :meth:`remove_type` build the next snapshot under one writer
+    lock and swap the reference; only a changed type is trained and
+    compiled.  :meth:`adopt` installs a snapshot built elsewhere (another
+    shard's identifier, a model file).  Readers take no lock:
+    :meth:`identify_batch` pins the snapshot it starts with, so both
+    stages of one batch are answered by one version.  Stage 1 runs on
+    the snapshot's :class:`~repro.ml.compiled.CompiledBank` — one flat
+    node table for the whole bank, traversed with vectorized gathers and
+    byte-identical to each forest's own ``predict_proba``.
     """
 
     #: Score slack within which two candidates count as tied.
@@ -135,9 +187,9 @@ class DeviceIdentifier:
         self.max_depth = max_depth
         self.accept_threshold = accept_threshold
         self._entropy = derive_entropy(random_state)
-        self._models: dict[str, _TypeModel] = {}
-        self._bank: CompiledBank | None = None
-        self._bank_source: tuple[str, ...] = ()
+        self._writer = threading.Lock()
+        self._snapshot = ModelSnapshot(0, {})
+        self._pin = threading.local()
 
     # --- training ---------------------------------------------------------
 
@@ -149,45 +201,44 @@ class DeviceIdentifier:
         """
         if len(registry) < 2:
             raise ValueError("need at least two device types to train")
-        with obs_span(obs_names.SPAN_TRAIN_FIT, types=len(registry)):
-            models = [self._train_type(registry, label) for label in registry.labels]
-        self._models = {model.label: model for model in models}
-        self.invalidate_compiled()
+        with self._writer:
+            with obs_span(obs_names.SPAN_TRAIN_FIT, types=len(registry)):
+                models = {label: self._train_type(registry, label) for label in registry.labels}
+            self._snapshot = self._snapshot.successor(models)
         return self
 
     def add_type(self, registry: DeviceTypeRegistry, label: str) -> None:
         """Train (or retrain) a single type without touching the others.
 
         Produces the exact model :meth:`fit` would have produced for this
-        label given the same registry contents and seed.
+        label given the same registry contents and seed.  Every other
+        type's model, compiled forest included, is carried over as is.
         """
-        model = self._train_type(registry, label)
-        self._models[label] = model
-        self.invalidate_compiled()
+        with self._writer:
+            model = self._train_type(registry, label)
+            self._snapshot = self._snapshot.successor({**self._snapshot.models, label: model})
 
     def remove_type(self, label: str) -> None:
-        if label not in self._models:
-            raise KeyError(label)
-        del self._models[label]
-        self.invalidate_compiled()
+        with self._writer:
+            models = dict(self._snapshot.models)
+            del models[label]
+            self._snapshot = self._snapshot.successor(models)
 
-    def invalidate_compiled(self) -> None:
-        """Drop the compiled bank; it is rebuilt lazily on the next batch.
+    def adopt(self, snapshot: ModelSnapshot) -> None:
+        """Serve ``snapshot`` from now on (published by another identifier
+        with the same hyper-parameters, or loaded from a model file)."""
+        with self._writer:
+            self._snapshot = snapshot
 
-        Called automatically by every mutator; callers that assign
-        ``_models`` directly (persistence) must call it themselves.
-        """
-        self._bank = None
-        self._bank_source = ()
+    @property
+    def snapshot(self) -> ModelSnapshot:
+        """The current model snapshot."""
+        return self._snapshot
 
-    def _compiled_bank(self) -> CompiledBank:
-        labels = tuple(sorted(self._models))
-        if self._bank is None or self._bank_source != labels:
-            self._bank = CompiledBank(
-                [(label, self._models[label].classifier) for label in labels]
-            )
-            self._bank_source = labels
-        return self._bank
+    def _reading(self) -> ModelSnapshot:
+        """The snapshot this thread's batch is pinned to, else the current one."""
+        pinned = getattr(self._pin, "snapshot", None)
+        return self._snapshot if pinned is None else pinned
 
     def _train_type(self, registry: DeviceTypeRegistry, label: str) -> _TypeModel:
         with obs_span(obs_names.SPAN_TRAIN_TYPE, label=label):
@@ -209,12 +260,13 @@ class DeviceIdentifier:
             return _TypeModel(
                 label=label,
                 classifier=classifier,
-                references=[pool[int(i)] for i in chosen],
+                compiled=compile_forest(classifier),
+                references=tuple(pool[int(i)] for i in chosen),
             )
 
     @property
     def labels(self) -> list[str]:
-        return sorted(self._models)
+        return self._snapshot.labels
 
     # --- inference --------------------------------------------------------
 
@@ -230,13 +282,14 @@ class DeviceIdentifier:
         matrix in row-major order, so each candidate list is in sorted
         label order.
         """
-        if not self._models:
+        snapshot = self._reading()
+        if not snapshot.models:
             raise RuntimeError("identifier is not trained")
         if not fingerprints:
             return []
         with obs_span(obs_names.SPAN_CLASSIFY, batch=len(fingerprints)):
             stacked = np.vstack([fp.fixed(self.fp_length) for fp in fingerprints])
-            bank = self._compiled_bank()
+            bank = snapshot.bank
             with obs_span(obs_names.SPAN_CLASSIFY_BANK, batch=len(fingerprints), types=bank.n_forests):
                 positive = bank.positive_proba(stacked)
             accepted = positive >= self.accept_threshold
@@ -260,13 +313,14 @@ class DeviceIdentifier:
         """
         if not candidates:
             raise ValueError("no candidates to discriminate")
+        models = self._reading().models
         with obs_span(obs_names.SPAN_DISCRIMINATE, candidates=len(candidates)):
             obs_counter(obs_names.METRIC_DISCRIMINATIONS).inc()
             # Symbols before references: interning order fixes the symbol
             # ids, and with them the order each label's groups sum in.
             symbols = fingerprint.symbols()
             labels = sorted(set(candidates))
-            groups = [self._models[label].grouped_reference_symbols() for label in labels]
+            groups = [models[label].grouped_references for label in labels]
             scores = dict(zip(labels, dissimilarity_scores(symbols, groups)))
             best = min(scores.values())
             tied = [label for label, score in scores.items() if score <= best + self.TIE_TOLERANCE]
@@ -292,14 +346,23 @@ class DeviceIdentifier:
         return self.identify_batch([fingerprint])[0]
 
     def identify_batch(self, fingerprints: list[Fingerprint]) -> list[IdentificationResult]:
-        """The full two-stage pipeline over many fingerprints (one stage-1 pass)."""
-        with obs_span(obs_names.SPAN_IDENTIFY, batch=len(fingerprints)) as span:
-            results = [
-                self._resolve(fp, candidates)
-                for fp, candidates in zip(fingerprints, self.classify_batch(fingerprints))
-            ]
-            span.set(
-                unknown=sum(result.is_unknown for result in results),
-                discriminated=sum(result.used_discrimination for result in results),
-            )
-            return results
+        """The full two-stage pipeline over many fingerprints (one stage-1 pass).
+
+        Both stages read the snapshot current when the batch starts, so
+        the whole batch is answered by one model version even while
+        another thread enrols or retires a type.
+        """
+        self._pin.snapshot = self._snapshot
+        try:
+            with obs_span(obs_names.SPAN_IDENTIFY, batch=len(fingerprints)) as span:
+                results = [
+                    self._resolve(fp, candidates)
+                    for fp, candidates in zip(fingerprints, self.classify_batch(fingerprints))
+                ]
+                span.set(
+                    unknown=sum(result.is_unknown for result in results),
+                    discriminated=sum(result.used_discrimination for result in results),
+                )
+                return results
+        finally:
+            self._pin.snapshot = None

@@ -105,7 +105,8 @@ def load_registry(path: str | Path) -> DeviceTypeRegistry:
 
 
 def identifier_to_dict(identifier: DeviceIdentifier) -> dict:
-    if not identifier._models:
+    models = identifier.snapshot.models
+    if not models:
         raise ValueError("cannot serialize an untrained identifier")
     return {
         "version": _FORMAT_VERSION,
@@ -121,7 +122,7 @@ def identifier_to_dict(identifier: DeviceIdentifier) -> dict:
                 "forest": forest_to_dict(model.classifier),
                 "references": [fingerprint_to_dict(fp) for fp in model.references],
             }
-            for label, model in identifier._models.items()
+            for label, model in models.items()
         },
     }
 
@@ -135,6 +136,7 @@ def identifier_from_dict(data: dict) -> DeviceIdentifier:
         n_estimators=int(params["n_estimators"]),
         accept_threshold=float(params["accept_threshold"]),
     )
+    models: dict[str, _TypeModel] = {}
     for label, model in data["models"].items():
         forest = forest_from_dict(model["forest"])
         # Serialized boolean class labels come back as Python bools; the
@@ -142,12 +144,13 @@ def identifier_from_dict(data: dict) -> DeviceIdentifier:
         forest.classes_ = np.asarray([bool(c) for c in forest.classes_])
         for tree in forest.trees_:
             tree.classes_ = np.asarray([bool(c) for c in tree.classes_])
-        identifier._models[label] = _TypeModel(
+        models[label] = _TypeModel(
             label=label,
             classifier=forest,
-            references=[fingerprint_from_dict(fp) for fp in model["references"]],
+            compiled=compile_forest(forest),
+            references=tuple(fingerprint_from_dict(fp) for fp in model["references"]),
         )
-    identifier.invalidate_compiled()
+    identifier.adopt(identifier.snapshot.successor(models))
     return identifier
 
 
@@ -178,20 +181,20 @@ def save_identifier_npz(
 ) -> None:
     """Serialize a trained identifier as compiled flat arrays in one npz.
 
-    Every per-type forest is flattened by :func:`~repro.ml.compiled.compile_forest`
-    (node tables + leaf probabilities in forest class order); reference
-    fingerprints ride along as packed float64 matrices.  ``key`` (the
+    Every per-type forest is stored as the
+    :class:`~repro.ml.compiled.CompiledForest` compiled when it was
+    trained (node tables + leaf probabilities in forest class order);
+    reference fingerprints ride along as packed float64 matrices.  ``key`` (the
     content hash, when saved through :class:`ModelStore`) is embedded so a
     reader can detect a payload that no longer matches its filename.
     """
-    if not identifier._models:
+    models = identifier.snapshot.models
+    if not models:
         raise ValueError("cannot serialize an untrained identifier")
-    labels = sorted(identifier._models)
     arrays: dict[str, np.ndarray] = {}
     models_meta = []
-    for i, label in enumerate(labels):
-        model = identifier._models[label]
-        compiled = compile_forest(model.classifier)
+    for i, (label, model) in enumerate(models.items()):
+        compiled = model.compiled
         prefix = f"m{i}_"
         arrays[prefix + "feature"] = compiled.feature
         arrays[prefix + "threshold"] = compiled.threshold
@@ -229,9 +232,11 @@ def load_identifier_npz(
 ) -> DeviceIdentifier:
     """Rebuild an identifier from :func:`save_identifier_npz` output.
 
-    Raises ``ValueError`` on a version mismatch or (when ``expected_key``
-    is given) a stale embedded content hash; the model store turns both
-    into cache misses.
+    Each type's :class:`~repro.ml.compiled.CompiledForest` is taken
+    straight from the payload, so a warm start compiles nothing.  Raises
+    ``ValueError`` on a version mismatch or (when ``expected_key`` is
+    given) a stale embedded content hash; the model store turns both into
+    cache misses.
     """
     with np.load(Path(path), allow_pickle=False) as payload:
         meta = json.loads(str(payload["meta"][()]))
@@ -250,6 +255,7 @@ def load_identifier_npz(
             accept_threshold=float(params["accept_threshold"]),
             random_state=int(meta["entropy"]),
         )
+        models: dict[str, _TypeModel] = {}
         for i, model_meta in enumerate(meta["models"]):
             prefix = f"m{i}_"
             classes = np.asarray([bool(c) for c in payload[prefix + "classes"]])
@@ -284,12 +290,13 @@ def load_identifier_npz(
                 references.append(
                     Fingerprint(packets=packets, device_mac=mac, label=ref_label)
                 )
-            identifier._models[model_meta["label"]] = _TypeModel(
+            models[model_meta["label"]] = _TypeModel(
                 label=model_meta["label"],
                 classifier=forest,
-                references=references,
+                compiled=compiled,
+                references=tuple(references),
             )
-    identifier.invalidate_compiled()
+    identifier.adopt(identifier.snapshot.successor(models))
     return identifier
 
 

@@ -7,10 +7,10 @@ dominates.  This module *compiles* a fitted forest into flat NumPy node
 tables — feature index, threshold, left/right child, leaf
 class-probabilities — held in a :class:`CompiledForest` (also the npz
 model store's format, reversible with :func:`forest_from_flat`).
-:class:`CompiledBank` puts every tree of every per-type forest into one
-global node table, so stage-1 classification of a batch is a single
-depth-bounded traversal for all types at once, then a per-forest
-positive-column accumulation.  It is the only stage-1 inference path;
+:class:`CompiledBank` concatenates the node tables of every per-type
+:class:`CompiledForest` into one global node table, so stage-1
+classification of a batch is a single depth-bounded traversal for all
+types at once, then a per-forest positive-column accumulation.  It is the only stage-1 inference path;
 the interpreted forest stays for training and as the test oracle.
 
 Bit-exactness contract
@@ -229,11 +229,14 @@ class CompiledBank:
     probabilities are then accumulated tree-by-tree (sequentially, for
     bit-exactness with the interpreted forests) and divided once.
 
+    Built from ``(label, CompiledForest)`` pairs, so assembling a bank is
+    array concatenation: each forest is compiled once, when it is
+    trained (or read straight from an npz payload), and never again.
     Forests whose training data never contained the positive class are
     excluded: they can never accept a fingerprint.
     """
 
-    def __init__(self, forests: list[tuple[str, RandomForestClassifier]]) -> None:
+    def __init__(self, forests: list[tuple[str, CompiledForest]]) -> None:
         self.labels: list[str] = []
         features: list[np.ndarray] = []
         thresholds: list[np.ndarray] = []
@@ -244,10 +247,9 @@ class CompiledBank:
         offsets = [0]
         max_depth = 0
         node_base = 0
-        for label, forest in forests:
-            if forest.classes_ is None or True not in list(forest.classes_):
+        for label, compiled in forests:
+            if True not in list(compiled.classes_):
                 continue
-            compiled = compile_forest(forest)
             positive_column = list(compiled.classes_).index(True)
             self.labels.append(label)
             features.append(compiled.feature)

@@ -14,10 +14,10 @@ Request processing order (each stage short-circuits):
 3. per-gateway token bucket (429 + ``Retry-After``, counted; batch
    submissions cost one token per report),
 4. body decode via :mod:`.wire` (400 with the parse error),
-5. the service call, serialized under one lock —
-   :class:`~repro.securityservice.service.IoTSecurityService` memoizes
-   internally and is not thread-safe, and the lock also keeps enrolment
-   atomic with identification.
+5. the service call, serialized under one lock.  Identification alone
+   would not need it: each batch reads one immutable model snapshot.
+   The lock keeps the 409 duplicate-label check atomic with enrolment,
+   and the service's registry and report counter are not thread-safe.
 
 Every request runs inside a ``service.http.request`` span and increments
 ``service_http_requests_total`` labelled with the route pattern (not the

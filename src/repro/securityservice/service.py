@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from repro.core.fingerprint import Fingerprint
-from repro.core.identifier import DeviceIdentifier
+from repro.core.identifier import DeviceIdentifier, ModelSnapshot
 from repro.core.registry import DeviceTypeRegistry
 from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
@@ -58,15 +58,16 @@ class IoTSecurityService:
         self._registry = registry
         self.identifier.fit(registry)
 
-    def adopt_model(self, registry: DeviceTypeRegistry, identifier: DeviceIdentifier) -> None:
-        """Install a pre-trained identifier (e.g. a ModelStore warm start).
+    def adopt_model(self, registry: DeviceTypeRegistry, snapshot: ModelSnapshot) -> None:
+        """Serve a model snapshot trained elsewhere on ``registry``.
 
-        Equivalent to :meth:`train` when ``identifier`` was fit on
-        ``registry`` with the same entropy — the path the sharded front
-        uses to train once and load N byte-identical shard replicas.
+        Equivalent to :meth:`train` when ``snapshot`` was trained on
+        ``registry`` with this service's hyper-parameters and entropy —
+        the path the sharded front uses to load ModelStore warm starts
+        and to publish one enrolment's snapshot to every replica.
         """
         self._registry = registry
-        self.identifier = identifier
+        self.identifier.adopt(snapshot)
 
     def enroll_type(self, label: str, fingerprints: Iterable[Fingerprint]) -> None:
         """Add one new device type incrementally (no global relearning)."""

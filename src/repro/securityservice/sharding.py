@@ -11,13 +11,18 @@ routing tier:
   only the keys on the arcs its virtual nodes own — bounded remapping,
   pinned by ``tests/securityservice/test_ring_properties.py``.
 * :class:`ShardedSecurityService` — N full service replicas behind one
-  front.  Shards share one :class:`~repro.core.persistence.ModelStore`
-  (train once, warm-start N byte-identical banks) and one vulnerability
-  database, so any replica can answer any directive lookup; the ring
-  spreads *classification load* by device MAC, it does not partition the
-  model.  Batches fan out per shard and reassemble in submission order,
-  which makes the N=1 front byte-identical to a bare service (pinned by
-  the differential test).
+  front.  The model is replicated, not partitioned: ``train`` fits the
+  bank once (with a shared :class:`~repro.core.persistence.ModelStore`,
+  the other N-1 shards warm-start byte-identical banks from it), and
+  each enrolment or retirement trains or drops one type *once*, on one
+  shard's identifier, then publishes that same immutable
+  :class:`~repro.core.identifier.ModelSnapshot` object to every shard.
+  A shard joining later adopts the current snapshot.  Shards also share
+  one vulnerability database, so any replica can answer any directive
+  lookup; the ring spreads *classification load* by device MAC.
+  Batches fan out per shard and reassemble in submission order, which
+  makes the N=1 front byte-identical to a bare service (pinned by the
+  differential test).
 
 Shard **outage** (``kill_shard``) keeps ring membership — keys do not
 remap during a blip; routes to a dead shard raise
@@ -155,8 +160,9 @@ class ShardedSecurityService:
     The front mirrors the single-service surface (``handle_report``,
     ``handle_reports``, ``train``, ``enroll_type`` …) so gateways and
     transports are oblivious to sharding; ``DirectTransport(front)``
-    works unchanged.  Model state fans out to every shard (replication),
-    report traffic fans *in* to one shard per device MAC (routing).
+    works unchanged.  Model state is one snapshot published to every
+    shard (replication), report traffic fans *in* to one shard per
+    device MAC (routing).
 
     ``random_state`` is normalized to one entropy value up front, so all
     shards train byte-identical banks even when a ``Generator`` is passed.
@@ -181,7 +187,8 @@ class ShardedSecurityService:
         self._entropy = derive_entropy(random_state)
         self.ring = HashRing(vnodes=vnodes, seed=ring_seed)
         self.shards: dict[str, IoTSecurityService] = {}
-        self._registry: DeviceTypeRegistry | None = None
+        #: The one corpus every shard trains on and serves.
+        self._registry = DeviceTypeRegistry()
         self._next_index = 0
         self._down: set[str] = set()
         #: Warm-start cache hits observed while training shards.
@@ -199,7 +206,10 @@ class ShardedSecurityService:
         return self.ring.shard_ids()
 
     def add_shard(self) -> str:
-        """Join a new shard; only keys on its new arcs remap to it."""
+        """Join a new shard; only keys on its new arcs remap to it.
+
+        The new shard adopts the current model snapshot; nothing is trained.
+        """
         shard_id = f"shard-{self._next_index}"
         self._next_index += 1
         shard = IoTSecurityService(
@@ -207,8 +217,8 @@ class ShardedSecurityService:
             endpoint_directory=self._endpoint_directory,
             random_state=self._entropy,
         )
-        if self._registry is not None:
-            self._train_shard(shard, self._registry)
+        if self.shards:
+            shard.adopt_model(self._registry, self._source().identifier.snapshot)
         self.shards[shard_id] = shard
         self.ring.add(shard_id)
         return shard_id
@@ -238,48 +248,53 @@ class ShardedSecurityService:
     def down_shards(self) -> frozenset[str]:
         return frozenset(self._down)
 
-    # --- training / enrollment (fan-out: every replica carries the bank) ---
+    # --- training / enrollment (one model, published to every replica) ----
 
-    def _train_shard(self, shard: IoTSecurityService, registry: DeviceTypeRegistry) -> None:
-        if self.store is None:
-            shard.train(registry)
-            return
-        identifier, hit = warm_start_identifier(registry, self.store, random_state=self._entropy)
-        self.cache_hits += int(hit)
-        shard.adopt_model(registry, identifier)
+    def _source(self) -> IoTSecurityService:
+        """The shard whose identifier trains enrolments for the whole front."""
+        return next(iter(self.shards.values()))
+
+    def _publish(self) -> None:
+        """Give every shard the source shard's snapshot (the same object)."""
+        snapshot = self._source().identifier.snapshot
+        for shard in self.shards.values():
+            shard.adopt_model(self._registry, snapshot)
 
     def train(self, registry: DeviceTypeRegistry) -> None:
-        """Train every replica; with a shared store the first shard fits
-        and the other N-1 load the byte-identical cached bank."""
+        """Train the bank once and give it to every replica.
+
+        With a shared store the first shard fits and the other N-1 load
+        the byte-identical cached bank (``cache_hits == N-1``); without
+        one, the first shard fits and the others adopt its snapshot.
+        """
         self._registry = registry
+        if self.store is None:
+            self._source().train(registry)
+            self._publish()
+            return
         for shard in self.shards.values():
-            self._train_shard(shard, registry)
+            identifier, hit = warm_start_identifier(
+                registry, self.store, random_state=self._entropy
+            )
+            self.cache_hits += int(hit)
+            shard.adopt_model(registry, identifier.snapshot)
 
     def enroll_type(self, label: str, fingerprints: Iterable[Fingerprint]) -> None:
-        """Enroll one new type on every replica.
+        """Enroll one new type: train it once, publish it to every replica.
 
-        After :meth:`train` all shards share one registry object, so the
-        corpus mutation happens exactly once here and only the incremental
-        classifier training fans out.
+        All shards share one registry object, so the corpus mutation
+        happens once; the type's forest is trained and compiled once, on
+        the source shard's identifier, and every shard then serves that
+        same snapshot.  No other type is retrained or recompiled.
         """
-        batch = list(fingerprints)
-        if self._registry is None:
-            # Untrained: each shard still owns a private empty registry.
-            for shard in self.shards.values():
-                shard.enroll_type(label, batch)
-            return
-        self._registry.add_many(label, batch)
-        for shard in self.shards.values():
-            shard.identifier.add_type(self._registry, label)
+        self._registry.add_many(label, list(fingerprints))
+        self._source().identifier.add_type(self._registry, label)
+        self._publish()
 
     def retire_type(self, label: str) -> None:
-        if self._registry is None:
-            for shard in self.shards.values():
-                shard.retire_type(label)
-            return
         self._registry.remove_type(label)
-        for shard in self.shards.values():
-            shard.identifier.remove_type(label)
+        self._source().identifier.remove_type(label)
+        self._publish()
 
     def register_endpoints(self, device_type: str, endpoints: Iterable[str]) -> None:
         batch = list(endpoints)

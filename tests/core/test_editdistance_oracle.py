@@ -212,7 +212,7 @@ def oracle_scores(identifier, fingerprint, candidates):
     scores = {}
     for label in sorted(candidates):
         total = 0.0
-        for reference, count in identifier._models[label].grouped_reference_symbols():
+        for reference, count in identifier.snapshot.models[label].grouped_references:
             longest = max(len(symbols), len(reference))
             total += count * (oracle_osa(symbols, reference) / longest if longest else 0.0)
         scores[label] = total

@@ -63,8 +63,8 @@ class TestNpzRoundTrip:
             [fp.fixed(small_identifier.fp_length) for fp in held_out[:8]]
         )
         for label in small_identifier.labels:
-            original = small_identifier._models[label].classifier
-            rebuilt = restored._models[label].classifier
+            original = small_identifier.snapshot.models[label].classifier
+            rebuilt = restored.snapshot.models[label].classifier
             assert np.array_equal(
                 rebuilt.predict_proba(stacked), original.predict_proba(stacked)
             )
@@ -77,8 +77,8 @@ class TestNpzRoundTrip:
         assert restored.accept_threshold == small_identifier.accept_threshold
         assert restored._entropy == small_identifier._entropy
         for label in small_identifier.labels:
-            originals = small_identifier._models[label].references
-            rebuilt = restored._models[label].references
+            originals = small_identifier.snapshot.models[label].references
+            rebuilt = restored.snapshot.models[label].references
             assert [fp.packets for fp in rebuilt] == [fp.packets for fp in originals]
             assert [fp.device_mac for fp in rebuilt] == [
                 fp.device_mac for fp in originals

@@ -1,5 +1,7 @@
 """Registry and two-stage identifier tests (Sect. IV-B)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,13 +105,13 @@ class TestIdentifierTraining:
     def test_add_type_without_relearning(self):
         registry = synthetic_registry()
         identifier = DeviceIdentifier(random_state=0).fit(registry)
-        before = {label: identifier._models[label].classifier for label in identifier.labels}
+        before = {label: identifier.snapshot.models[label].classifier for label in identifier.labels}
         registry.add_many("type9", [synthetic_fp(9) for _ in range(8)])
         identifier.add_type(registry, "type9")
         assert "type9" in identifier.labels
         # Existing classifiers are untouched objects (no retraining).
         for label, classifier in before.items():
-            assert identifier._models[label].classifier is classifier
+            assert identifier.snapshot.models[label].classifier is classifier
         assert identifier.identify(synthetic_fp(9)).label == "type9"
 
     def test_remove_type(self):
@@ -170,9 +172,9 @@ class TestDeterministicIdentification:
         registry = synthetic_registry()
         identifier = DeviceIdentifier(random_state=0).fit(registry)
         # Force an exact tie: both candidate types get identical references.
-        refs = identifier._models["type0"].references
-        identifier._models["type1"].references = list(refs)
-        identifier._models["type1"]._grouped_symbols = None
+        models = dict(identifier.snapshot.models)
+        models["type1"] = dataclasses.replace(models["type1"], references=models["type0"].references)
+        identifier.adopt(identifier.snapshot.successor(models))
         return registry, identifier
 
     def test_tie_breaks_lexicographically(self):

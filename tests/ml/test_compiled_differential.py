@@ -45,7 +45,7 @@ def assert_round_trip(forest, x):
 
 def assert_bit_identical(forest, x):
     """A one-forest bank's column equals the forest's positive column."""
-    bank = CompiledBank([("only", forest)])
+    bank = CompiledBank([("only", compile_forest(forest))])
     positive = list(forest.classes_).index(True)
     fast = bank.positive_proba(x)
     assert fast.shape == (len(x), 1)
@@ -95,7 +95,7 @@ class TestCompiledForestDifferential:
         assert_round_trip(forest, x)
         rebuilt = forest_from_flat(compile_forest(forest))
         assert np.array_equal(rebuilt.predict_proba(x), np.ones((40, 1)))
-        assert CompiledBank([("negative", forest)]).positive_proba(x).shape == (40, 0)
+        assert CompiledBank([("negative", compile_forest(forest))]).positive_proba(x).shape == (40, 0)
 
     def test_boolean_classes_as_trained_by_identifier(self):
         x, y = make_corpus(13)
@@ -115,7 +115,7 @@ class TestCompiledForestDifferential:
     def test_empty_batch(self):
         x, y = make_corpus(19)
         forest = RandomForestClassifier(n_estimators=4, random_state=19).fit(x, y)
-        assert CompiledBank([("only", forest)]).positive_proba(x[:0]).shape == (0, 1)
+        assert CompiledBank([("only", compile_forest(forest))]).positive_proba(x[:0]).shape == (0, 1)
         assert forest_from_flat(compile_forest(forest)).predict_proba(x[:0]).shape == (0, 2)
 
     def test_single_row_batch(self):
@@ -159,7 +159,7 @@ class TestCompiledBankDifferential:
 
     def test_bank_columns_match_interpreted_positive_proba(self):
         forests, x = self.build_bank_forests()
-        bank = CompiledBank(forests)
+        bank = CompiledBank([(label, compile_forest(f)) for label, f in forests])
         out = bank.positive_proba(x)
         assert bank.labels == [label for label, _ in forests]
         for j, (_, forest) in enumerate(forests):
@@ -171,11 +171,14 @@ class TestCompiledBankDifferential:
         forests, x = self.build_bank_forests(n_forests=3)
         y_neg = np.zeros(len(x), dtype=bool)
         negative_only = RandomForestClassifier(n_estimators=3, random_state=7).fit(x, y_neg)
-        bank = CompiledBank(forests + [("all-negative", negative_only)])
+        bank = CompiledBank(
+            [(label, compile_forest(f)) for label, f in forests + [("all-negative", negative_only)]]
+        )
         assert "all-negative" not in bank.labels
         assert bank.positive_proba(x).shape == (len(x), len(forests))
 
     def test_empty_bank_and_empty_batch(self):
         forests, x = self.build_bank_forests(n_forests=2)
         assert CompiledBank([]).positive_proba(x).shape == (len(x), 0)
-        assert CompiledBank(forests).positive_proba(x[:0]).shape == (0, 2)
+        compiled = [(label, compile_forest(f)) for label, f in forests]
+        assert CompiledBank(compiled).positive_proba(x[:0]).shape == (0, 2)

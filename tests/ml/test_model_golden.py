@@ -23,7 +23,7 @@ FOREST_SHA256 = "0e31c25e76941950c14ffcbca705a14f10c3c8753d3271bcb3646c871c7a1ff
 
 def bank_sha256(identifier):
     """SHA-256 over the compiled bank's node tables."""
-    bank = identifier._compiled_bank()
+    bank = identifier.snapshot.bank
     digest = hashlib.sha256()
     for table in (bank.feature, bank.threshold, bank.left, bank.right, bank.leaf_positive):
         digest.update(np.ascontiguousarray(table).tobytes())

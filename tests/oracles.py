@@ -56,7 +56,7 @@ def interpreted_candidates(identifier, fingerprints):
     stacked = np.vstack([fixed_vector(fp.rows, identifier.fp_length) for fp in fingerprints])
     candidates = [[] for _ in fingerprints]
     for label in identifier.labels:
-        forest = identifier._models[label].classifier
+        forest = identifier.snapshot.models[label].classifier
         classes = list(forest.classes_)
         if True not in classes:
             continue

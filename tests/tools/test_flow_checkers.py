@@ -160,7 +160,7 @@ class TestSL008CodecTaxonomy:
             get_checker("SL008"),
         )
         # The ValueError is reported twice over: once by the taxonomy rule
-        # and once by decode purity (it escapes a decode-shaped entry).
+        # and once by decode purity (it escapes a decode entry point).
         assert {f.code for f in findings} == {"SL008"}
         taxonomy = [f for f in findings if "raises ValueError" in f.message]
         assert len(taxonomy) == 1

@@ -1,9 +1,11 @@
 """Reinjection guards: the flow checkers catch this PR's bugs coming back.
 
 Each test lints the *real* ``src`` tree with exactly one bug reintroduced
-in memory — the unlocked completion-buffer write, the ad-hoc codec
-``ValueError``, an unguarded boundary call, an ad-hoc metric name — and asserts the matching checker fires.  The shipped
-tree itself must stay clean (also enforced by ``test_regression_guard``).
+in memory — the unlocked completion-buffer write, an unlocked model
+snapshot swap, the ad-hoc codec ``ValueError``, an unguarded boundary
+call, an ad-hoc metric name — and asserts the matching checker fires.
+The shipped tree itself must stay clean (also enforced by
+``test_regression_guard``).
 """
 
 import ast
@@ -15,6 +17,7 @@ from tools.sentinel_lint.runner import check_project_sources, discover_files
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 MONITOR_PATH = "src/repro/gateway/monitor.py"
+IDENTIFIER_PATH = "src/repro/core/identifier.py"
 ICMP_PATH = "src/repro/packets/icmp.py"
 
 _TEXTS: dict[str, str] = {}
@@ -67,6 +70,15 @@ class TestSL007Reinjection:
         findings = lint_src("SL007", {MONITOR_PATH: mutated})
         assert [f.code for f in findings] == ["SL007"]
         assert "_completed" in findings[0].message
+        assert "without holding the owning lock" in findings[0].message
+
+    def test_unlocked_snapshot_swap_fires(self):
+        mutated = inject_into_method(
+            _real_text(IDENTIFIER_PATH), "adopt", "self._snapshot = snapshot"
+        )
+        findings = lint_src("SL007", {IDENTIFIER_PATH: mutated})
+        assert [f.code for f in findings] == ["SL007"]
+        assert "_snapshot" in findings[0].message
         assert "without holding the owning lock" in findings[0].message
 
 

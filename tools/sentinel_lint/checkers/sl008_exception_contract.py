@@ -7,9 +7,9 @@ Three rules, all whole-program:
   excepted).  Callers catch ``DecodeError``/``EncodeError`` to survive
   malformed traffic; an ad-hoc ``ValueError`` sails straight past those
   handlers and kills a capture sweep.
-* **Decode purity** — decode-shaped codec entry points (``decode*``,
-  ``from_bytes``/``from_frames``/``from_records``) may *transitively*
-  raise only ``DecodeError`` among the taxonomy: an ``EncodeError``
+* **Decode purity** — codec decode entry points (functions named
+  ``decode*``) may *transitively* raise only ``DecodeError`` among the
+  taxonomy: an ``EncodeError``
   escaping a decode path means a wrong-direction contract.
   Propagation follows intra-package call edges minus exceptions caught
   at the call site.
@@ -37,15 +37,10 @@ from ..registry import register
 from .base import ProjectChecker
 
 _DECODE_ROOT = "repro.packets.base.DecodeError"
-_DECODE_SHAPES = ("from_bytes", "from_frames", "from_records")
 
 
 def _in_dirs(path: str, dirs: tuple[str, ...]) -> bool:
     return any(path == d or path.startswith(d + "/") for d in dirs)
-
-
-def _is_decode_shaped(name: str) -> bool:
-    return name.startswith("decode") or name in _DECODE_SHAPES
 
 
 class _Taxonomy:
@@ -184,7 +179,7 @@ class ExceptionContractChecker(ProjectChecker):
         findings: list[Finding] = []
         for qualname in sorted(packets):
             info = packets[qualname]
-            if not _is_decode_shaped(info.name):
+            if not info.name.startswith("decode"):
                 continue
             bad = sorted(
                 exc
@@ -197,7 +192,7 @@ class ExceptionContractChecker(ProjectChecker):
                         info.src,
                         info.node,
                         f"decode path {info.name} may raise "
-                        f"{exc.split('.')[-1]} — decode-shaped codec entry "
+                        f"{exc.split('.')[-1]} — codec decode entry "
                         "points must raise only DecodeError",
                     )
                 )

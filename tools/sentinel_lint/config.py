@@ -133,6 +133,7 @@ LAYERED_PACKAGE = "repro"
 #: checker also discovers mutations in functions reachable from thread
 #: entry points (``ThreadPoolExecutor.submit``/``Thread(target=...)``).
 THREAD_SHARED_STATE: dict[str, tuple[str, ...]] = {
+    "repro.core.identifier.DeviceIdentifier": ("_snapshot",),
     "repro.gateway.monitor.DeviceMonitor": ("_completed",),
     "repro.securityservice.resilience.CircuitBreaker": (
         "state",
