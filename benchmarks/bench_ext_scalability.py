@@ -7,8 +7,14 @@ Sentinel can easily scale to thousands of device-types..."
 This bench grows a synthetic type population to 1000, trains one
 classifier per type (using the incremental ``add_type`` path — no global
 relearning), and measures how the stage-1 classification pass scales.
+Each population is timed twice over: the first read of the snapshot's
+bank (concatenating every type's compiled forest into one table, once
+per snapshot) and the best of five warm ``classify_batch`` passes over a
+16-row probe.  A one-row pass is mostly fixed per-call numpy dispatch,
+which would hide the per-type cost; 16 rows spread that intercept.
 Absolute times differ from the paper's (pure-Python forests vs C), so the
-assertion targets the *linear growth* and a generous sub-second bound.
+assertion targets the *linear growth* of the warm pass and a generous
+sub-second bound.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from repro.reporting import render_series
 
 TYPE_COUNTS = (27, 100, 300, 1000)
 FINGERPRINTS_PER_TYPE = 8
+#: Fingerprints per timed stage-1 pass, one from each of the first types.
+PROBE_ROWS = 16
+#: Warm passes per population; the best one is reported.
+REPEATS = 5
 
 
 def _synthetic_fingerprint(rng: np.random.Generator, signature: np.ndarray) -> Fingerprint:
@@ -68,8 +78,8 @@ def test_ext_classifier_bank_scalability(benchmark):
     def run():
         rng = np.random.default_rng(3)
         registry = _build_registry(max(TYPE_COUNTS), rng)
-        probe = registry.fingerprints("type0000")[0]
-        points = []
+        probe = [registry.fingerprints(f"type{t:04d}")[0] for t in range(PROBE_ROWS)]
+        passes, assembly = [], []
         identifier = DeviceIdentifier(random_state=1)
         enrolled = 0
         for target in TYPE_COUNTS:
@@ -77,18 +87,28 @@ def test_ext_classifier_bank_scalability(benchmark):
             for t in range(enrolled, target):
                 identifier.add_type(registry, f"type{t:04d}")
             enrolled = target
+            # The first read concatenates the per-type forests into one bank.
             start = time.perf_counter()
-            repeats = 5
-            for _ in range(repeats):
-                identifier.classify(probe)
-            elapsed = (time.perf_counter() - start) / repeats
-            points.append((target, elapsed * 1e3))
-        return points
+            identifier.snapshot.bank
+            assembly.append((target, (time.perf_counter() - start) * 1e3))
+            best = float("inf")
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                identifier.classify_batch(probe)
+                best = min(best, time.perf_counter() - start)
+            passes.append((target, best * 1e3))
+        return passes, assembly
 
-    points = benchmark.pedantic(run, rounds=1, iterations=1)
+    points, assembly = benchmark.pedantic(run, rounds=1, iterations=1)
     write_result(
         "ext_scalability.txt",
-        render_series({"Stage-1 classification (all types)": points}, unit="ms"),
+        render_series(
+            {
+                f"Stage-1 pass, {PROBE_ROWS} rows (all types)": points,
+                "Bank assembly (first read)": assembly,
+            },
+            unit="ms",
+        ),
     )
 
     counts = np.array([c for c, _ in points], dtype=float)

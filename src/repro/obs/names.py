@@ -86,8 +86,8 @@ SPAN_EXTRACT = "extract.fingerprint"
 SPAN_TRAIN_FIT = "train.fit"
 #: Training one device type's binary forest + reference selection.
 SPAN_TRAIN_TYPE = "train.type"
-#: One ``IoTSecurityService.handle_reports`` batch (shared stage-1 pass);
-#: a single ``handle_report`` is a batch of one.
+#: One bare ``IoTSecurityService.handle_reports`` batch (shared stage-1
+#: pass); a single ``handle_report`` is a batch of one.
 SPAN_SERVICE_BATCH = "service.handle_reports"
 #: One ``ResilientTransport.submit_many`` exchange (a whole batch), retries included.
 SPAN_TRANSPORT_SUBMIT = "transport.submit"
@@ -97,7 +97,7 @@ SPAN_TRANSPORT_ATTEMPT = "transport.submit.attempt"
 SPAN_GATEWAY_BATCH = "gateway.process_batch"
 #: One HTTP request through the IoTSSP serving tier's router.
 SPAN_HTTP_REQUEST = "service.http.request"
-#: One consistent-hash routing fan-out of a batch in the sharded front.
+#: One sharded-front batch: routing, one identification pass, per-shard directives.
 SPAN_SHARD_ROUTE = "service.shard.route"
 
 # --- metrics -----------------------------------------------------------------

@@ -489,15 +489,6 @@ def icmp_echo_request_frame(
     return _ipv4(src_mac, gateway_mac, header, message.pack())
 
 
-def icmp_echo_reply_frame(
-    src_mac: str, gateway_mac: str, src_ip: str, dst_ip: str, ident: int, seq: int,
-    payload: bytes = b"\x00" * 48,
-) -> bytes:
-    message = icmp_mod.echo_reply(ident, seq, payload)
-    header = IPv4Header(src=src_ip, dst=dst_ip, proto=PROTO_ICMP)
-    return _ipv4(src_mac, gateway_mac, header, message.pack())
-
-
 def igmp_join_frame(src_mac: str, src_ip: str, group: str) -> bytes:
     """IGMPv2 membership report; carries the IPv4 router-alert option."""
     from .igmp import v2_report

@@ -109,16 +109,25 @@ class IoTSecurityService:
         return self.handle_reports([report])[0]
 
     def handle_reports(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
-        """Identify a batch of reports through one stage-1 bank pass.
+        """Identify a batch of reports, then issue one directive per label.
 
         Deliberately ignores ``report.gateway_id`` beyond transport needs:
         the service stores nothing about its clients (Sect. III-B).
         """
         with obs_span(obs_names.SPAN_SERVICE_BATCH, batch=len(reports)):
-            self.reports_handled += len(reports)
-            obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc(len(reports))
-            results = self.identifier.identify_batch([report.fingerprint for report in reports])
-            return [self._directive_for(result.label) for result in results]
+            return self.directives_for(self.identify_reports(reports))
+
+    def identify_reports(self, reports: list[FingerprintReport]) -> list[str]:
+        """Device-type labels for a batch: one ``identify_batch`` pass,
+        answered by one model snapshot."""
+        results = self.identifier.identify_batch([report.fingerprint for report in reports])
+        return [result.label for result in results]
+
+    def directives_for(self, labels: list[str]) -> list[IsolationDirective]:
+        """Serve identified reports: one directive per label, counted as handled."""
+        self.reports_handled += len(labels)
+        obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc(len(labels))
+        return [self._directive_for(label) for label in labels]
 
     def directive_for_type(self, device_type: str) -> IsolationDirective:
         """Issue a directive for an already-identified type (no classification).

@@ -19,10 +19,14 @@ routing tier:
   :class:`~repro.core.identifier.ModelSnapshot` object to every shard.
   A shard joining later adopts the current snapshot.  Shards also share
   one vulnerability database, so any replica can answer any directive
-  lookup; the ring spreads *classification load* by device MAC.
-  Batches fan out per shard and reassemble in submission order, which
-  makes the N=1 front byte-identical to a bare service (pinned by the
-  differential test).
+  lookup; the ring spreads report load by device MAC.
+  A batch is identified once, in one two-stage pass over the source
+  shard's snapshot, so one model version answers the whole batch even
+  while an enrolment is being published; each shard then only turns its
+  reports' labels into directives (counting them and reading its own
+  endpoint directory), and the directives return in submission order.
+  That makes the N=1 front byte-identical to a bare service (pinned by
+  the differential test).
 
 Shard **outage** (``kill_shard``) keeps ring membership — keys do not
 remap during a blip; routes to a dead shard raise
@@ -161,8 +165,9 @@ class ShardedSecurityService:
     ``handle_reports``, ``train``, ``enroll_type`` …) so gateways and
     transports are oblivious to sharding; ``DirectTransport(front)``
     works unchanged.  Model state is one snapshot published to every
-    shard (replication), report traffic fans *in* to one shard per
-    device MAC (routing).
+    shard (replication); each batch is identified once on the source
+    shard's snapshot, and each report is served (counted, given its
+    directive) by the one shard its device MAC routes to (routing).
 
     ``random_state`` is normalized to one entropy value up front, so all
     shards train byte-identical banks even when a ``Generator`` is passed.
@@ -251,7 +256,8 @@ class ShardedSecurityService:
     # --- training / enrollment (one model, published to every replica) ----
 
     def _source(self) -> IoTSecurityService:
-        """The shard whose identifier trains enrolments for the whole front."""
+        """The shard whose identifier trains enrolments and identifies
+        every batch for the whole front."""
         return next(iter(self.shards.values()))
 
     def _publish(self) -> None:
@@ -307,8 +313,7 @@ class ShardedSecurityService:
 
     @property
     def known_types(self) -> list[str]:
-        shard = next(iter(self.shards.values()))
-        return shard.known_types
+        return self._source().known_types
 
     @property
     def reports_handled(self) -> int:
@@ -330,12 +335,15 @@ class ShardedSecurityService:
         return self.handle_reports([report])[0]
 
     def handle_reports(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
-        """Fan a batch out per shard, reassemble in submission order.
+        """Identify a batch once, then serve each report on its shard.
 
         A route to a down shard fails the whole batch with
-        ``ServiceUnavailable`` *before* any shard runs — the gateway
-        then bisects the batch, isolating the outage to the dead shard's
-        devices without serving any report twice.
+        ``ServiceUnavailable`` *before* any work — the gateway then
+        bisects the batch, isolating the outage to the dead shard's
+        devices without serving any report twice.  The whole batch is
+        identified in one pass over the source shard's current snapshot,
+        so one model version answers it; each shard's bucket then only
+        turns its labels into directives, in submission order.
         """
         with obs_span(obs_names.SPAN_SHARD_ROUTE, batch=len(reports)) as span:
             buckets: dict[str, list[int]] = {}
@@ -344,12 +352,11 @@ class ShardedSecurityService:
             for shard_id in buckets:
                 if shard_id in self._down:
                     raise ServiceUnavailable(f"shard {shard_id} is down")
+            labels = self._source().identify_reports(reports)
             directives: list[IsolationDirective | None] = [None] * len(reports)
             for shard_id, indexes in buckets.items():
                 obs_counter(obs_names.METRIC_SHARD_REPORTS, shard=shard_id).inc(len(indexes))
-                shard_out = self.shards[shard_id].handle_reports(
-                    [reports[i] for i in indexes]
-                )
+                shard_out = self.shards[shard_id].directives_for([labels[i] for i in indexes])
                 for i, directive in zip(indexes, shard_out):
                     directives[i] = directive
             span.set(shards=len(buckets))
@@ -380,5 +387,4 @@ class ShardedSecurityService:
         return self._live_shard(shard_id).report_incident(report)
 
     def assess_type(self, device_type: str):
-        shard = next(iter(self.shards.values()))
-        return shard.assess_type(device_type)
+        return self._source().assess_type(device_type)

@@ -1,14 +1,21 @@
-"""Sharded IoTSSP: N=1 differential identity, fan-out, outage semantics."""
+"""Sharded IoTSSP: N=1 differential identity, one identification pass per
+batch, outage semantics."""
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core import DeviceIdentifier, DeviceTypeRegistry
+from repro.core.identifier import UNKNOWN_DEVICE
 from repro.devices import DEVICE_PROFILES, collect_fingerprints, profile_by_name
 from repro.gateway import SecurityGateway
+from repro.ml.compiled import CompiledBank
+from repro.obs import RecordingProvider, metrics_snapshot, names, use_provider
 from repro.packets import builder
 from repro.sdn import IsolationLevel
 from repro.securityservice import (
@@ -26,6 +33,25 @@ RUNS = 4
 
 def _mac(index: int) -> str:
     return f"02:00:00:00:{index // 256:02x}:{index % 256:02x}"
+
+
+def _copy(registry: DeviceTypeRegistry, *, without: str | None = None) -> DeviceTypeRegistry:
+    private = DeviceTypeRegistry()
+    for label in registry.labels:
+        if label != without:
+            private.add_many(label, registry.fingerprints(label))
+    return private
+
+
+def _stamped(registry: DeviceTypeRegistry, per_type: int) -> list:
+    """Up to ``per_type`` reports per type, each with its own device MAC."""
+    fingerprints = [
+        fp for label in registry.labels for fp in registry.fingerprints(label)[:per_type]
+    ]
+    return [
+        FingerprintReport(fingerprint=dataclasses.replace(fp, device_mac=_mac(i)))
+        for i, fp in enumerate(fingerprints)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +177,157 @@ class TestDifferentialN1:
                 )
             logs.append(gateway.audit.all())
         assert logs[0] == logs[1]
+
+
+class TestOnePassPerBatch:
+    """The front identifies a whole batch once; shards only issue directives."""
+
+    def test_four_shards_match_a_bare_service_across_enrolment(self, corpus, probes):
+        fresh = collect_fingerprints(
+            profile_by_name("Aria"), runs=RUNS, rng=np.random.default_rng(SEED + 2)
+        )
+        services = [
+            IoTSecurityService(random_state=SEED),
+            ShardedSecurityService(4, random_state=SEED),
+        ]
+        for service in services:
+            service.train(_copy(corpus))
+            service.register_endpoints("iKettle2", ["52.5.5.5"])
+        solo, front = services
+        assert len({front.ring.route(r.fingerprint.device_mac) for r in probes}) == 4
+
+        def agree() -> None:
+            assert front.handle_reports(list(probes)) == solo.handle_reports(list(probes))
+            assert front.known_types == solo.known_types
+
+        agree()
+        for service in services:
+            service.retire_type("Aria")
+        agree()
+        for service in services:
+            service.enroll_type("Aria", fresh)
+        agree()
+        assert front.reports_handled == solo.reports_handled == 3 * len(probes)
+
+    def test_batch_over_many_shards_makes_one_bank_call(self, small_registry, monkeypatch):
+        front = ShardedSecurityService(4, random_state=11)
+        front.train(small_registry)
+        reports = _stamped(small_registry, 4)
+        owners = [front.ring.route(r.fingerprint.device_mac) for r in reports]
+        assert len(set(owners)) == 4
+        before = {shard_id: shard.reports_handled for shard_id, shard in front.shards.items()}
+        expected = [front.handle_report(report) for report in reports]
+        calls = []
+        original = CompiledBank.positive_proba
+
+        def counting(bank, matrix):
+            calls.append(len(matrix))
+            return original(bank, matrix)
+
+        monkeypatch.setattr(CompiledBank, "positive_proba", counting)
+        provider = RecordingProvider()
+        with use_provider(provider):
+            assert front.handle_reports(reports) == expected
+        assert calls == [len(reports)]
+
+        for shard_id, shard in front.shards.items():
+            assert shard.reports_handled == before[shard_id] + 2 * owners.count(shard_id)
+        routed = metrics_snapshot(provider.metrics)[names.METRIC_SHARD_REPORTS]["samples"]
+        assert {s["labels"]["shard"]: s["value"] for s in routed} == {
+            shard_id: owners.count(shard_id) for shard_id in set(owners)
+        }
+        # One identification under the route span; no per-shard service round trip.
+        (route,) = provider.tracer.records_named(names.SPAN_SHARD_ROUTE)
+        (identify,) = provider.tracer.records_named(names.SPAN_IDENTIFY)
+        assert identify.parent_id == route.span_id
+        assert route.attributes == {"batch": len(reports), "shards": 4}
+        assert provider.tracer.records_named(names.SPAN_SERVICE_BATCH) == []
+
+    def test_every_front_batch_is_answered_by_one_version(self, small_registry, monkeypatch):
+        """An admin thread enrols and retires a type while readers call the
+        front: each batch is labelled from exactly one snapshot, and every
+        label is one of that snapshot's types or unknown."""
+        held_out = "Aria"
+        registry = _copy(small_registry, without=held_out)
+        front = ShardedSecurityService(4, random_state=11)
+        front.train(registry)
+        reports = _stamped(small_registry, 4)
+        assert len({front.ring.route(r.fingerprint.device_mac) for r in reports}) > 1
+        fingerprints = small_registry.fingerprints(held_out)
+
+        def labels() -> list[str]:
+            return [directive.device_type for directive in front.handle_reports(reports)]
+
+        #: Expected labels per snapshot, keyed by whether it holds the type.
+        published = {False: labels()}
+        front.enroll_type(held_out, fingerprints)
+        published[True] = labels()
+        front.retire_type(held_out)
+        assert held_out in published[True] and held_out not in published[False]
+
+        pinned = threading.local()
+        original = DeviceIdentifier.classify_batch
+
+        def recording(identifier, batch):
+            pinned.snapshots.append(identifier._reading())
+            return original(identifier, batch)
+
+        monkeypatch.setattr(DeviceIdentifier, "classify_batch", recording)
+        done = threading.Event()
+        answered = {True: threading.Event(), False: threading.Event()}
+        #: Reader thread id -> the exception it raised or the batch it got wrong.
+        failures: dict[int, object] = {}
+
+        def keep_serving() -> None:
+            try:
+                while not done.is_set():
+                    pinned.snapshots = []
+                    got = labels()
+                    snapshots = pinned.snapshots
+                    if len(snapshots) != 1:
+                        failures[threading.get_ident()] = f"{len(snapshots)} passes"
+                        return
+                    (snapshot,) = snapshots
+                    holds = held_out in snapshot.models
+                    allowed = set(snapshot.labels) | {UNKNOWN_DEVICE}
+                    if not set(got) <= allowed or got != published[holds]:
+                        failures[threading.get_ident()] = (snapshot.version, got)
+                        return
+                    answered[holds].set()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures[threading.get_ident()] = exc
+
+        def administer() -> None:
+            """Publish each change, then wait until a reader answers from it."""
+            for _ in range(6):
+                for holds in (True, False):
+                    if failures:
+                        return
+                    answered[holds].clear()
+                    if holds:
+                        front.enroll_type(held_out, fingerprints)
+                    else:
+                        front.retire_type(held_out)
+                    answered[holds].wait(timeout=10.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=keep_serving, daemon=True) for _ in range(3)]
+        admin = threading.Thread(target=administer, daemon=True)
+        try:
+            for thread in readers:
+                thread.start()
+            admin.start()
+            admin.join(timeout=120.0)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not admin.is_alive()
+        assert not any(thread.is_alive() for thread in readers)
+        assert not failures, failures
+        assert all(event.is_set() for event in answered.values())
 
 
 class TestShardedService:

@@ -123,6 +123,54 @@ class TestSL007ThreadReachability:
         )
         assert findings == []
 
+    def test_local_list_append_in_thread_target_is_clean(self):
+        """``.append`` on a local list is not the one project ``append``."""
+        findings = lint(
+            {
+                "src/repro/packets/pcap.py": (
+                    "class PcapFile:\n"
+                    "    def append(self, record):\n"
+                    "        self.records.append(record)\n"
+                ),
+                "tests/test_reader.py": (
+                    "import threading\n"
+                    "def test_readers():\n"
+                    "    seen = []\n"
+                    "    def read():\n"
+                    "        mine = {}\n"
+                    "        seen.append(1)\n"
+                    "        mine.update(a=1)\n"
+                    "        [].append(2)\n"
+                    "    threading.Thread(target=read).start()\n"
+                ),
+            },
+            get_checker("SL007"),
+        )
+        assert findings == []
+
+    def test_rebound_local_keeps_the_unique_name_edge(self):
+        findings = lint(
+            {
+                "src/repro/packets/pcap.py": (
+                    "class PcapFile:\n"
+                    "    def append(self, record):\n"
+                    "        self.records.append(record)\n"
+                ),
+                "tests/test_reader.py": (
+                    "import threading\n"
+                    "def test_readers(capture):\n"
+                    "    seen = []\n"
+                    "    def read():\n"
+                    "        seen.append(1)\n"
+                    "    seen = capture\n"
+                    "    threading.Thread(target=read).start()\n"
+                ),
+            },
+            get_checker("SL007"),
+        )
+        assert [f.code for f in findings] == ["SL007"]
+        assert "read -> append" in findings[0].message
+
     def test_unreachable_mutation_is_clean(self):
         findings = lint(
             {

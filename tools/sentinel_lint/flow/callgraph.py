@@ -11,7 +11,9 @@ against false negatives at the cost of occasional over-approximation):
   project class, ``f`` is its method, if a module, its function; a local
   variable assigned from a project-class constructor types the receiver;
 * receiver-unknown ``x.m()`` — an edge to *every* project method named
-  ``m`` only when exactly one class defines it (unique-name fallback);
+  ``m`` only when exactly one class defines it (unique-name fallback),
+  except when ``x`` is a builtin container: a display such as ``[]``,
+  or a name that the caller or an enclosing function binds only to one;
 * thread spawns — ``pool.submit(f)`` / ``pool.map(f, …)`` on an
   executor-typed local and ``Thread(target=f)`` resolve ``f`` with the
   same rules and mark it a **thread entry**.
@@ -49,8 +51,9 @@ class CallGraph:
 
     def _build(self) -> None:
         for qualname, info in self.project.functions.items():
-            facts = function_facts(info.node)
-            self.facts[qualname] = facts
+            self.facts[qualname] = function_facts(info.node)
+        for qualname, info in self.project.functions.items():
+            facts = self.facts[qualname]
             callees = self.edges.setdefault(qualname, set())
             for call in facts.calls:
                 target = self._resolve_call(info, facts, call.kind, call.name, call.dotted)
@@ -114,6 +117,8 @@ class CallGraph:
                     method = project.resolve_method(cls, method_name)
                     if method is not None:
                         return method.qualname
+            if self._is_container(info, receiver):
+                return None
             return self._unique_method(method_name)
         if kind == "method":
             return self._unique_method(name)
@@ -142,6 +147,18 @@ class CallGraph:
                 init = project.resolve_method(cls, "__init__")
                 return init.qualname if init is not None else None
         return None
+
+    def _is_container(self, info: FunctionInfo, receiver: str) -> bool:
+        """Is ``receiver`` a name bound, where it is visible, only to a container?"""
+        scope = info.qualname
+        while scope.startswith(f"{info.module}."):
+            facts = self.facts.get(scope)
+            if facts is None:
+                return False
+            if receiver in facts.local_names:
+                return receiver in facts.local_containers
+            scope = scope.rsplit(".", 1)[0]
+        return False
 
     def _unique_method(self, name: str) -> str | None:
         candidates = self.project.methods_by_name.get(name, [])

@@ -13,8 +13,9 @@ the flow checkers need to know about one function body:
 * **raise sites** and their guarding context;
 * **thread-spawn sites** — ``pool.submit(f)``, ``pool.map(f, …)`` on a
   local bound to an executor constructor, and ``Thread(target=f)``;
-* small local environments: names bound to executor constructors and to
-  project-class constructors (for receiver typing in the call graph).
+* small local environments: names bound to executor constructors, to
+  project-class constructors (for receiver typing in the call graph) and
+  to list/dict/set displays (receivers that are builtin containers).
 
 Nested ``def``s are *not* descended into — they are functions of their
 own in the :class:`~tools.sentinel_lint.flow.project.Project` index and
@@ -53,6 +54,9 @@ _EXECUTOR_CTORS = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
 
 #: Constructor names that create a raw thread.
 _THREAD_CTORS = frozenset({"Thread"})
+
+#: Expressions that build a builtin list, dict or set.
+_CONTAINER_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 
 
 def dotted(node: ast.expr) -> str | None:
@@ -138,6 +142,10 @@ class FunctionFacts:
     local_ctors: dict[str, str] = field(default_factory=dict)
     #: ``self.X = <dotted ctor>(...)`` assignments seen (attr -> ctors).
     self_attr_ctors: dict[str, list[str]] = field(default_factory=dict)
+    #: Every local name this function binds (parameters included).
+    local_names: set[str] = field(default_factory=set)
+    #: Locals bound only ever to a list, dict or set display.
+    local_containers: set[str] = field(default_factory=set)
 
 
 def _caught_names(handlers: list[ast.ExceptHandler]) -> set[str]:
@@ -166,6 +174,9 @@ class _FactsVisitor(ast.NodeVisitor):
         self._context: list[tuple[str, frozenset[str]]] = []
         self._locks: list[str] = []
         self._caught_vars: set[str] = set()
+        #: Locals bound to a container display / to anything else.
+        self._displays: set[str] = set()
+        self._others: set[str] = set()
 
     # --- context bookkeeping -------------------------------------------------
 
@@ -192,8 +203,17 @@ class _FactsVisitor(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         if node is self.root:
+            arguments = node.args
+            for arg in (
+                *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                arguments.vararg, arguments.kwarg,
+            ):
+                if arg is not None:
+                    self._bind_name(arg.arg, None)
             self.generic_visit(node)
-        # nested defs are separate functions: do not descend
+        else:
+            # nested defs are separate functions: do not descend
+            self._bind_name(node.name, None)
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
@@ -206,6 +226,7 @@ class _FactsVisitor(ast.NodeVisitor):
         for handler in node.handlers:
             if handler.name:
                 self._caught_vars.add(handler.name)
+                self._bind_name(handler.name, None)
             for stmt in handler.body:
                 self.visit(stmt)
         for stmt in node.orelse + node.finalbody:
@@ -215,6 +236,7 @@ class _FactsVisitor(ast.NodeVisitor):
         self._context.append(("loop", frozenset()))
         if isinstance(node, ast.For):
             self.visit(node.iter)
+            self._bind(node.target, None)
             self.visit(node.target)
         else:
             self.visit(node.test)
@@ -239,6 +261,7 @@ class _FactsVisitor(ast.NodeVisitor):
                 pushed += 1
             self.visit(expr)
             if item.optional_vars is not None:
+                self._bind(item.optional_vars, None)
                 self._maybe_bind_executor(item.optional_vars, expr)
         for stmt in node.body:
             self.visit(stmt)
@@ -248,6 +271,23 @@ class _FactsVisitor(ast.NodeVisitor):
     visit_AsyncWith = visit_With
 
     # --- bindings ------------------------------------------------------------
+
+    def _bind_name(self, name: str, value: ast.expr | None) -> None:
+        self.facts.local_names.add(name)
+        if isinstance(value, _CONTAINER_DISPLAYS):
+            self._displays.add(name)
+        else:
+            self._others.add(name)
+
+    def _bind(self, target: ast.expr, value: ast.expr | None) -> None:
+        """Record the local names ``target`` binds (``value``: a plain name's)."""
+        if isinstance(target, ast.Name):
+            self._bind_name(target.id, value)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._bind(element, None)
+        elif isinstance(target, ast.Starred):
+            self._bind(target.value, None)
 
     def _maybe_bind_executor(self, target: ast.expr, value: ast.expr) -> None:
         if not isinstance(target, ast.Name) or not isinstance(value, ast.Call):
@@ -263,6 +303,7 @@ class _FactsVisitor(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._record_store(node, target)
+            self._bind(target, node.value)
             self._maybe_bind_executor(target, node.value)
             if (
                 isinstance(target, ast.Attribute)
@@ -277,6 +318,7 @@ class _FactsVisitor(ast.NodeVisitor):
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._record_store(node, node.target, kind="assign")
+        self._bind(node.target, node.value)
         if node.value is not None:
             self._maybe_bind_executor(node.target, node.value)
             self.visit(node.value)
@@ -350,7 +392,8 @@ class _FactsVisitor(ast.NodeVisitor):
                 kind = "dotted"
         elif isinstance(func, ast.Attribute):
             bare = func.attr
-            kind = "method"
+            # A method of a builtin container display resolves to nothing.
+            kind = "opaque" if isinstance(func.value, _CONTAINER_DISPLAYS) else "method"
         self.facts.calls.append(
             CallSite(
                 node=node,
@@ -402,4 +445,5 @@ def function_facts(node: ast.FunctionDef | ast.AsyncFunctionDef) -> FunctionFact
     """The dataflow facts for one function definition."""
     visitor = _FactsVisitor(node)
     visitor.visit(node)
+    visitor.facts.local_containers = visitor._displays - visitor._others
     return visitor.facts
