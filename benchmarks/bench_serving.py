@@ -9,7 +9,9 @@ the load runs, a scraper thread polls ``GET /metrics`` and must observe
 live Prometheus text (``service_reports_handled_total`` advancing
 mid-load).  A second phase exercises the batched ``POST /v1/reports``
 endpoint.  The harness reports sustained requests/sec and p50/p99
-latency per phase.
+latency per phase, and fails a phase whose gateways opened more than one
+connection each (``service_http_connections_total``): their transports
+keep connections alive.
 
 An endpoint-check pass (always run; CI's curl-style smoke) verifies the
 contract rows of ``docs/serving.md`` against a key-protected,
@@ -39,6 +41,7 @@ from urllib.parse import urlsplit
 import numpy as np
 from bench_ext_scalability import FINGERPRINTS_PER_TYPE, _build_registry
 from repro.core.persistence import fingerprint_to_dict
+from repro.obs import names as obs_names
 from repro.securityservice import (
     FingerprintReport,
     IoTSecurityService,
@@ -94,16 +97,26 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[index]
 
 
-def _raw(base_url: str, method: str, path: str, body=None, headers=None):
-    """One plain request; returns (status, JSON-or-text body, headers)."""
+def _connect(base_url: str) -> http.client.HTTPConnection:
     parts = urlsplit(base_url)
-    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    return http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+
+
+def _raw(base_url: str, method: str, path: str, body=None, headers=None, *, connection=None):
+    """One plain request; returns (status, JSON-or-text body, headers).
+
+    Runs on ``connection`` when given, else on a one-shot connection.
+    """
+    own = connection is None
+    if own:
+        connection = _connect(base_url)
     try:
         connection.request(method, path, body=body, headers=headers or {})
         response = connection.getresponse()
         raw = response.read()
     finally:
-        connection.close()
+        if own:
+            connection.close()
     try:
         decoded = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -134,8 +147,9 @@ def _run_phase(server, probes_per_worker, *, batch_size=None) -> dict:
 
     def worker(index: int, probes) -> None:
         gateway_id = f"gw-{index:02d}"
+        client = HttpTransport(server.base_url, gateway_id=gateway_id, timeout=30.0)
         transport = ResilientTransport(
-            HttpTransport(server.base_url, gateway_id=gateway_id, timeout=30.0),
+            client,
             policy=_LOAD_POLICY,
             seed=index,
             clock=SystemClock(),
@@ -160,6 +174,8 @@ def _run_phase(server, probes_per_worker, *, batch_size=None) -> dict:
                         check(index, gateway_id, directive)
         except Exception as exc:
             worker_failures[index] += [f"{gateway_id}: {type(exc).__name__}: {exc}"]
+        finally:
+            client.close()
 
     threads = [
         threading.Thread(target=worker, args=(i, probes), daemon=True)
@@ -174,19 +190,28 @@ def _run_phase(server, probes_per_worker, *, batch_size=None) -> dict:
     def scraper() -> None:
         # Poll-then-check ordering guarantees one final scrape after the
         # stop signal, so a phase shorter than the poll interval (smoke
-        # mode) still observes the live counter.
-        while True:
-            status, body, _ = _raw(server.base_url, "GET", "/metrics")
-            if status == 200 and isinstance(body, str):
-                for line in body.splitlines():
-                    if line.startswith("service_reports_handled_total") and (
-                        float(line.rsplit(" ", 1)[1]) > 0
-                    ):
-                        scrape_live.set()
-            if stop_scraping.is_set():
-                return
-            time.sleep(0.02)
+        # mode) still observes the live counter.  Every poll rides one
+        # kept-alive connection, so the scraper opens exactly one.
+        connection = _connect(server.base_url)
+        try:
+            while True:
+                status, body, _ = _raw(
+                    server.base_url, "GET", "/metrics", connection=connection
+                )
+                if status == 200 and isinstance(body, str):
+                    for line in body.splitlines():
+                        if line.startswith("service_reports_handled_total") and (
+                            float(line.rsplit(" ", 1)[1]) > 0
+                        ):
+                            scrape_live.set()
+                if stop_scraping.is_set():
+                    return
+                time.sleep(0.02)
+        finally:
+            connection.close()
 
+    accepted = server.provider.counter(obs_names.METRIC_HTTP_CONNECTIONS)
+    accepted_before = accepted.value
     scrape_thread = threading.Thread(target=scraper, daemon=True)
     scrape_thread.start()
     barrier.wait()
@@ -203,6 +228,8 @@ def _run_phase(server, probes_per_worker, *, batch_size=None) -> dict:
         "latencies": flat,
         "failures": [failure for per_worker in worker_failures for failure in per_worker],
         "scrape_live": scrape_live.is_set(),
+        # Connections the gateways opened: the scraper's one is not theirs.
+        "connections": int(accepted.value - accepted_before) - 1,
     }
 
 
@@ -314,6 +341,13 @@ def run_benchmark(
     problems = list(single["failures"]) + list(batch["failures"])
     if not single["scrape_live"]:
         problems.append("single phase: /metrics never served live report counts")
+    for mode, phase in (("single", single), ("batch", batch)):
+        # Keep-alive: a gateway's submits reuse its one pooled connection.
+        if phase["connections"] > workers:
+            problems.append(
+                f"{mode} phase: {phase['connections']} connections for "
+                f"{workers} gateways (more than one per gateway)"
+            )
     problems.extend(_endpoint_checks(service, registry, spare))
 
     total = workers * requests
@@ -357,6 +391,8 @@ def run_benchmark(
         "mid-load /metrics scrape: live"
         if single["scrape_live"]
         else "mid-load /metrics scrape: MISSING",
+        f"gateway connections opened: {single['connections']} single, "
+        f"{batch['connections']} batch ({workers} gateways)",
         "endpoint checks: all passing" if not problems else "endpoint checks: FAILING",
     ]
     return {

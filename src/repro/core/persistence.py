@@ -33,6 +33,7 @@ from repro.ml.serialize import forest_from_dict, forest_to_dict
 from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
 
+from .constants import NUM_FEATURES
 from .fingerprint import Fingerprint
 from .identifier import DeviceIdentifier, _TypeModel
 from .registry import DeviceTypeRegistry
@@ -72,8 +73,19 @@ def fingerprint_to_dict(fingerprint: Fingerprint) -> dict:
 
 
 def fingerprint_from_dict(data: dict) -> Fingerprint:
+    """Decode :func:`fingerprint_to_dict`'s shape.
+
+    Raises ``ValueError`` unless ``packets`` is an array of arrays of
+    exactly ``NUM_FEATURES`` numbers each; a wrong-width packet would
+    otherwise only fail later, inside identification.
+    """
+    packets = []
+    for packet in data["packets"]:
+        if not isinstance(packet, (list, tuple)) or len(packet) != NUM_FEATURES:
+            raise ValueError(f"each packet must be an array of {NUM_FEATURES} features")
+        packets.append(tuple(map(float, packet)))
     return Fingerprint(
-        packets=tuple(tuple(float(x) for x in packet) for packet in data["packets"]),
+        packets=tuple(packets),
         device_mac=data.get("mac", ""),
         label=data.get("label"),
     )

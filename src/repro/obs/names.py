@@ -62,6 +62,7 @@ __all__ = [
     "METRIC_HTTP_REQUESTS",
     "METRIC_HTTP_RATE_LIMITED",
     "METRIC_HTTP_AUTH_FAILURES",
+    "METRIC_HTTP_CONNECTIONS",
     "METRIC_SHARD_REPORTS",
     "METRIC_FLEET_QUEUE_DEPTH",
     "METRIC_FLEET_QUEUE_DROPPED",
@@ -158,6 +159,8 @@ METRIC_HTTP_REQUESTS = "service_http_requests_total"
 METRIC_HTTP_RATE_LIMITED = "service_http_rate_limited_total"
 #: Requests rejected 401 (missing, unknown, or wrong API key).
 METRIC_HTTP_AUTH_FAILURES = "service_http_auth_failures_total"
+#: TCP connections the HTTP server accepted (kept-alive ones count once).
+METRIC_HTTP_CONNECTIONS = "service_http_connections_total"
 #: Fingerprint reports routed to each shard, labelled ``shard``.
 METRIC_SHARD_REPORTS = "service_shard_reports_total"
 #: Items sitting in fleet-gateway bounded queues, labelled ``stage``
@@ -215,6 +218,7 @@ METRIC_NAMES = frozenset(
         METRIC_HTTP_REQUESTS,
         METRIC_HTTP_RATE_LIMITED,
         METRIC_HTTP_AUTH_FAILURES,
+        METRIC_HTTP_CONNECTIONS,
         METRIC_SHARD_REPORTS,
         METRIC_FLEET_QUEUE_DEPTH,
         METRIC_FLEET_QUEUE_DROPPED,

@@ -19,12 +19,21 @@ deadlines become :class:`~repro.securityservice.resilience.TransportTimeout`,
 and 4xx client errors or unparseable bodies become the *fatal*
 :class:`~repro.securityservice.resilience.ProtocolError` — retrying a
 request the server already called malformed would never succeed.
+
+Connections are kept alive: each transport holds a small pool of idle
+``HTTPConnection`` objects, so a gateway's steady stream of sweeps pays one
+TCP handshake (and one server handler thread) in total, not one per
+sweep.  A connection carries one request at a time, so threads sharing a
+transport each check out their own.  A pooled connection the server
+has closed in the meantime (idle timeout, restart) fails before any
+response arrives; that request is sent once more on a new connection.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from urllib.parse import urlsplit
 
@@ -33,6 +42,18 @@ from ..resilience import ProtocolError, ServiceUnavailable, TransportTimeout
 from .wire import WireError, directive_from_dict, report_to_dict
 
 __all__ = ["HttpTransport", "SystemClock"]
+
+#: Idle connections a transport keeps.  More concurrent requests than
+#: this still run, each on its own connection; the surplus is closed
+#: when its request completes.
+_MAX_IDLE = 4
+
+#: Faults a *pooled* connection raises, before any response arrives,
+#: when the server closed it while it sat idle.  The server never read
+#: the request, so sending it once more on a new connection cannot
+#: deliver it twice.  (``http.client.RemoteDisconnected`` is a
+#: ``ConnectionResetError``.)
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 
 class SystemClock:
@@ -72,6 +93,9 @@ class HttpTransport(Transport):
         Against an open server only the id matters (rate-limit identity).
     timeout:
         Socket timeout in seconds for connect and each read.
+
+    Idle connections are pooled (last in, first out) and reused until
+    the server closes them; :meth:`close` drops them.
     """
 
     latency = 0.0
@@ -93,6 +117,8 @@ class HttpTransport(Transport):
         self.gateway_id = gateway_id
         self.api_key = api_key
         self.timeout = timeout
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     # --- Transport protocol -------------------------------------------------
 
@@ -138,21 +164,61 @@ class HttpTransport(Transport):
             headers["X-Gateway-Id"] = self.gateway_id
         if self.api_key is not None:
             headers["X-Api-Key"] = self.api_key
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.timeout
-        )
-        try:
+        status, raw = self._exchange(method, path, body, headers)
+        return self._decode_response(method, path, status, raw)
+
+    def close(self) -> None:
+        """Close every idle pooled connection.
+
+        The transport stays usable: a later request opens a new one.
+        """
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict[str, str]
+    ) -> tuple[int, bytes]:
+        """Send one request on a pooled or new connection; (status, body)."""
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        pooled = connection is not None
+        while True:
+            if connection is None:
+                connection = http.client.HTTPConnection(
+                    self._host, self._port, timeout=self.timeout
+                )
             try:
-                connection.request(method, self._prefix + path, body=body, headers=headers)
-                response = connection.getresponse()
+                try:
+                    connection.request(
+                        method, self._prefix + path, body=body, headers=headers
+                    )
+                    response = connection.getresponse()
+                except _STALE:
+                    if not pooled:
+                        raise
+                    connection.close()
+                    connection, pooled = None, False
+                    continue
                 raw = response.read()
             except TimeoutError as exc:
+                connection.close()
                 raise TransportTimeout(f"{method} {path}: {exc}") from exc
             except (ConnectionError, http.client.HTTPException, OSError) as exc:
+                connection.close()
                 raise ServiceUnavailable(f"{method} {path}: {exc}") from exc
-        finally:
-            connection.close()
-        return self._decode_response(method, path, response.status, raw)
+            break
+        self._release(connection, response.will_close)
+        return response.status, raw
+
+    def _release(self, connection: http.client.HTTPConnection, will_close: bool) -> None:
+        if not will_close:
+            with self._idle_lock:
+                if len(self._idle) < _MAX_IDLE:
+                    self._idle.append(connection)
+                    return
+        connection.close()
 
     def _decode_response(self, method: str, path: str, status: int, raw: bytes):
         if status in (200, 201):

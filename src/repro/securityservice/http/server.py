@@ -1,9 +1,17 @@
 """``ThreadingHTTPServer`` glue for :class:`~.app.ServiceApp`.
 
 The server owns exactly two jobs: move bytes between sockets and the
-socketless app (one handler thread per connection), and manage the
-process-global observability provider so ``/metrics`` has something live
-to render.  On :meth:`~SecurityServiceHTTPServer.start` it installs its
+socketless app, and manage the process-global observability provider so
+``/metrics`` has something live to render.
+
+Connections are HTTP/1.1 keep-alive: one handler thread serves one
+connection for as long as the client keeps it open, and ends once the
+connection has sat idle for ``_Handler.timeout`` seconds.  The server
+tracks the sockets it accepted, and :meth:`~SecurityServiceHTTPServer.stop`
+shuts every one of them down, so a stopped server answers nothing, not
+even on a connection a client kept open.
+
+On :meth:`~SecurityServiceHTTPServer.start` the server installs its
 :class:`~repro.obs.RecordingProvider` (bounded span ring — memory stays
 flat under sustained load) and on :meth:`~SecurityServiceHTTPServer.stop`
 it restores whatever was installed before, so embedding it in tests or
@@ -17,10 +25,14 @@ around a real :class:`~.app.ServiceApp`.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import RecordingProvider, set_provider
+from repro.obs import counter as obs_counter
+from repro.obs import names as obs_names
 
 from .app import AppResponse
 
@@ -30,16 +42,34 @@ __all__ = ["SecurityServiceHTTPServer", "DEFAULT_MAX_SPAN_RECORDS"]
 DEFAULT_MAX_SPAN_RECORDS = 4096
 
 
+def _refusal(status: int, message: str) -> AppResponse:
+    """A framing error: answered, then the connection is closed.
+
+    The server did not read the body it cannot frame, so under
+    keep-alive those bytes would be parsed as the next request.
+    """
+    return AppResponse(
+        status,
+        (json.dumps({"error": message}) + "\n").encode("utf-8"),
+        {"Content-Type": "application/json", "Connection": "close"},
+    )
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "iot-sentinel-iotssp/1.0"
     protocol_version = "HTTP/1.1"
+    # A response goes out in two writes (head, then body).  With Nagle's
+    # algorithm on, the body waits for the client's delayed ACK of the
+    # head: about 40 ms per request on a kept-alive connection.
+    disable_nagle_algorithm = True
+    # Seconds a kept-alive connection may sit idle (or a read stall)
+    # before the server closes it and its handler thread ends.
+    timeout = 30.0
 
     def _dispatch(self) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        body = self.rfile.read(length) if length > 0 else b""
+        body = self._read_body()
+        if body is None:
+            return
         try:
             response = self.server.app.handle(  # type: ignore[attr-defined]
                 self.command, self.path, dict(self.headers.items()), body
@@ -51,8 +81,27 @@ class _Handler(BaseHTTPRequestHandler):
                 f'{{"error": "internal server error: {type(exc).__name__}"}}\n'.encode(),
                 {"Content-Type": "application/json"},
             )
+        self._send(response)
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once a framing error was answered."""
+        if "Transfer-Encoding" in self.headers:
+            self._send(_refusal(411, "send the body with a Content-Length"))
+            return None
+        lengths = set(self.headers.get_all("Content-Length") or ())
+        if not lengths:
+            return b""
+        raw = lengths.pop().strip()
+        if lengths or not (raw.isascii() and raw.isdigit()):
+            self._send(_refusal(400, "invalid Content-Length"))
+            return None
+        length = int(raw)
+        return self.rfile.read(length) if length else b""
+
+    def _send(self, response: AppResponse) -> None:
         self.send_response(response.status)
         for key, value in response.headers.items():
+            # send_header("Connection", "close") also ends the connection.
             self.send_header(key, value)
         self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
@@ -75,6 +124,32 @@ class _Server(ThreadingHTTPServer):
     # each one stalls for the 1 s SYN retransmit.
     request_queue_size = 128
     allow_reuse_address = True
+
+    def __init__(self, server_address, handler) -> None:
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(server_address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        obs_counter(obs_names.METRIC_HTTP_CONNECTIONS).inc()
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every accepted socket; their handlers see EOF and end."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
 
     def handle_error(self, request, client_address) -> None:
         import sys
@@ -160,6 +235,7 @@ class SecurityServiceHTTPServer:
         self._httpd.shutdown()
         self._thread.join(timeout=10.0)
         self._httpd.server_close()
+        self._httpd.close_connections()
         self._thread = None
         if self._manage_provider:
             with self._state_lock:
@@ -175,6 +251,7 @@ class SecurityServiceHTTPServer:
             self._httpd.serve_forever()
         finally:
             self._httpd.server_close()
+            self._httpd.close_connections()
             if self._manage_provider:
                 with self._state_lock:
                     set_provider(self._previous_provider)

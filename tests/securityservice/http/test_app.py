@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.constants import NUM_FEATURES
 from repro.devices import collect_fingerprints, profile_by_name
 from repro.obs import RecordingProvider, metrics_snapshot, use_provider
 from repro.securityservice import FingerprintReport, IoTSecurityService
@@ -264,3 +265,43 @@ class TestRequestMetrics:
         assert samples[("/v1/directive/{device_type}", "404")] == 1.0
         assert samples[("/v1/report", "200")] == 1.0
         assert [r.name for r in spans].count("service.http.request") == 3
+
+
+class UntouchableService:
+    """Fails the test if the app calls into the service at all."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"service.{name} was called")
+
+
+class TestWrongWidthPackets:
+    """A packet of the wrong width is the client's error: 400, never 500."""
+
+    @staticmethod
+    def bodies(packets):
+        fingerprint = {"mac": "02:00:00:00:00:01", "packets": packets}
+        return {
+            "/v1/report": {"fingerprint": fingerprint},
+            "/v1/reports": {"reports": [{"fingerprint": fingerprint}]},
+            "/v1/types": {"label": "NewType", "fingerprints": [fingerprint]},
+        }
+
+    @pytest.mark.parametrize(
+        "packets",
+        [[[0.0] * 3], [[0.0] * 30], [[0.0] * NUM_FEATURES, [0.0] * 5]],
+        ids=["3-wide", "30-wide", "ragged"],
+    )
+    @pytest.mark.parametrize("path", ["/v1/report", "/v1/reports", "/v1/types"])
+    def test_is_400_and_never_reaches_the_service(self, path, packets):
+        app = ServiceApp(UntouchableService())
+        body = json.dumps(self.bodies(packets)[path]).encode()
+        with use_provider(RecordingProvider()) as provider:
+            response = app.handle("POST", path, {}, body)
+            snapshot = metrics_snapshot(provider.metrics)
+        assert response.status == 400
+        assert f"{NUM_FEATURES} features" in response.json["error"]
+        samples = {
+            (s["labels"]["endpoint"], s["labels"]["status"]): s["value"]
+            for s in snapshot["service_http_requests_total"]["samples"]
+        }
+        assert samples == {(path, "400"): 1.0}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.constants import NUM_FEATURES
 from repro.sdn import IsolationLevel
 from repro.securityservice import FingerprintReport, IsolationDirective
 from repro.securityservice.http import (
@@ -40,6 +41,26 @@ class TestReportCodec:
     def test_malformed_fingerprint_rejected(self):
         with pytest.raises(WireError, match="malformed fingerprint"):
             report_from_dict({"fingerprint": {"mac": "02:aa", "packets": "nope"}})
+
+    @pytest.mark.parametrize(
+        "packets",
+        [
+            [[1.0] * 3],
+            [[1.0] * 30],
+            [[1.0] * NUM_FEATURES, [1.0] * (NUM_FEATURES - 1)],  # ragged rows
+            ["1" * NUM_FEATURES],  # a string is not an array
+            [{str(i): 1.0 for i in range(NUM_FEATURES)}],
+        ],
+        ids=["3-wide", "30-wide", "ragged", "string", "object"],
+    )
+    def test_wrong_width_packets_rejected(self, packets):
+        with pytest.raises(WireError, match=f"array of {NUM_FEATURES} features"):
+            report_from_dict({"fingerprint": {"mac": "02:aa", "packets": packets}})
+
+    def test_non_numeric_feature_rejected(self):
+        packets = [[1.0] * (NUM_FEATURES - 1) + ["x"]]
+        with pytest.raises(WireError, match="malformed fingerprint"):
+            report_from_dict({"fingerprint": {"mac": "02:aa", "packets": packets}})
 
     def test_non_string_gateway_id_rejected(self, probe):
         body = report_to_dict(FingerprintReport(fingerprint=probe))

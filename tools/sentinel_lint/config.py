@@ -142,6 +142,8 @@ THREAD_SHARED_STATE: dict[str, tuple[str, ...]] = {
         "_half_open_streak",
         "_opened_at",
     ),
+    "repro.securityservice.http.client.HttpTransport": ("_idle",),
+    "repro.securityservice.http.server._Server": ("_connections",),
 }
 
 #: Methods where unlocked writes are fine: the object is not shared yet.
