@@ -26,9 +26,9 @@ capture the run's spans (JSON-lines) and metrics (Prometheus text) — see
 Example session::
 
     iot-sentinel dataset --runs 20 --seed 7 --output corpus.json
-    iot-sentinel train --corpus corpus.json --output model.json
+    iot-sentinel train --corpus corpus.json --output model.npz
     iot-sentinel simulate --device iKettle2 --seed 3 --output kettle.pcap
-    iot-sentinel identify --model model.json --pcap kettle.pcap \\
+    iot-sentinel identify --model model.npz --pcap kettle.pcap \\
         --trace-out trace.jsonl --metrics-out metrics.prom
     iot-sentinel obs --trace trace.jsonl
 """
@@ -41,7 +41,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core import DeviceIdentifier, fingerprint_from_records
+from repro.core import (
+    DeviceIdentifier,
+    DeviceTypeRegistry,
+    ModelStore,
+    fingerprint_from_records,
+    warm_start_identifier,
+)
 from repro.core.persistence import (
     load_identifier,
     load_registry,
@@ -59,7 +65,7 @@ from repro.obs import (
 )
 from repro.packets import decode, read_capture, write_pcap
 from repro.reporting import crossvalidate_identification, render_accuracy_bars
-from repro.securityservice import seed_database
+from repro.securityservice import IoTSecurityService, seed_database
 from repro.securityservice.assessment import assess_device_type
 
 __all__ = ["main", "build_parser"]
@@ -143,29 +149,42 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trained_identifier(
+    registry: DeviceTypeRegistry, args: argparse.Namespace
+) -> DeviceIdentifier:
+    """Train on ``registry``, or load the byte-identical model from ``--store``."""
+    if not args.store:
+        return DeviceIdentifier(random_state=args.seed).fit(registry)
+    identifier, cache_hit = warm_start_identifier(
+        registry, ModelStore(args.store), random_state=args.seed
+    )
+    print("model store: cache hit (training skipped)" if cache_hit
+          else "model store: cache miss (trained and cached)")
+    return identifier
+
+
+def _loaded_identifier(path: str) -> DeviceIdentifier | None:
+    """The model at ``path``, or None once the reason was printed."""
+    try:
+        return load_identifier(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     registry = load_registry(args.corpus)
     with _observed(args):
-        if args.store:
-            from pathlib import Path
-
-            from repro.core import ModelStore, warm_start_identifier
-
-            store = ModelStore(Path(args.store))
-            identifier, cache_hit = warm_start_identifier(
-                store=store, registry=registry, random_state=args.seed
-            )
-            print("model store: cache hit (training skipped)" if cache_hit
-                  else "model store: cache miss (trained and cached)")
-        else:
-            identifier = DeviceIdentifier(random_state=args.seed).fit(registry)
+        identifier = _trained_identifier(registry, args)
     save_identifier(identifier, args.output)
     print(f"trained {len(identifier.labels)} classifiers -> {args.output}")
     return 0
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
-    identifier = load_identifier(args.model)
+    identifier = _loaded_identifier(args.model)
+    if identifier is None:
+        return 1
     capture = read_capture(args.pcap)  # classic pcap or pcapng
     mac = args.mac
     if mac is None:
@@ -453,8 +472,6 @@ def _cmd_fleetsim(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    from repro.core.persistence import ModelStore
-    from repro.core.registry import DeviceTypeRegistry
     from repro.devices import collect_fingerprints
     from repro.netsim import FleetSimulator, OverflowPolicy
     from repro.securityservice import DirectTransport, ShardedSecurityService
@@ -519,11 +536,33 @@ def _cmd_fleetsim(args: argparse.Namespace) -> int:
     return 0 if stats.processed else 1
 
 
+def _serving_service(args: argparse.Namespace) -> IoTSecurityService | None:
+    """The IoTSSP ``serve`` exposes: the model and the corpus it trained on.
+
+    ``--model`` serves a model file without a corpus, so the service
+    identifies but cannot enrol; ``--corpus`` trains (or warm-starts from
+    ``--store``) and keeps the corpus for enrolment.  None once a load
+    error was printed.
+    """
+    if args.model:
+        identifier = _loaded_identifier(args.model)
+        if identifier is None:
+            return None
+        registry = DeviceTypeRegistry()
+        print(f"loaded model with {len(identifier.labels)} types from {args.model}")
+    else:
+        registry = load_registry(args.corpus)
+        identifier = _trained_identifier(registry, args)
+        print(f"trained {len(identifier.labels)} types from {args.corpus}")
+    service = IoTSecurityService(identifier=identifier)
+    service.adopt_model(registry, identifier.snapshot)
+    return service
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve the IoTSSP over HTTP until interrupted (``docs/serving.md``)."""
     import time as _time
 
-    from repro.securityservice import IoTSecurityService
     from repro.securityservice.http import (
         ApiKeyRegistry,
         GatewayRateLimiter,
@@ -532,27 +571,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.securityservice.http.server import DEFAULT_MAX_SPAN_RECORDS
 
-    service = IoTSecurityService(random_state=args.seed)
-    if args.model:
-        service.identifier = load_identifier(args.model)
-        print(f"loaded model with {len(service.known_types)} types from {args.model}")
-    else:
-        registry = load_registry(args.corpus)
-        if args.store:
-            from pathlib import Path
-
-            from repro.core import ModelStore, warm_start_identifier
-
-            service.identifier, cache_hit = warm_start_identifier(
-                registry, ModelStore(Path(args.store)),
-                random_state=args.seed,
-            )
-            print("model store: cache hit (training skipped)" if cache_hit
-                  else "model store: cache miss (trained and cached)")
-        else:
-            service.train(registry)
-        print(f"trained {len(service.known_types)} types from {args.corpus}")
-
+    service = _serving_service(args)
+    if service is None:
+        return 1
     auth = ApiKeyRegistry.from_file(args.api_keys) if args.api_keys else ApiKeyRegistry()
     limiter = None
     if args.rate > 0:
@@ -619,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train the classifier bank")
     p_train.add_argument("--corpus", required=True, help="corpus JSON from `dataset`")
-    p_train.add_argument("--output", required=True, help="model JSON output path")
+    p_train.add_argument("--output", required=True, help="model file output path (npz)")
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument(
         "--store", default=None, metavar="DIR",
@@ -629,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(p_train)
 
     p_id = sub.add_parser("identify", help="identify the device in a pcap")
-    p_id.add_argument("--model", required=True, help="model JSON from `train`")
+    p_id.add_argument("--model", required=True, help="model file from `train`")
     p_id.add_argument("--pcap", required=True, help="capture of the device's setup")
     p_id.add_argument("--mac", default=None, help="device MAC (default: first frame's source)")
     _add_obs_flags(p_id)
@@ -740,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source = p_serve.add_mutually_exclusive_group(required=True)
     source.add_argument("--corpus", help="corpus JSON from `dataset` (train at startup)")
-    source.add_argument("--model", help="model JSON from `train` (skip training)")
+    source.add_argument("--model", help="model file from `train` (skip training; enrolment is refused)")
     p_serve.add_argument(
         "--store", default=None, metavar="DIR",
         help="with --corpus: warm-start model store (skip training on a "

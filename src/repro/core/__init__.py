@@ -30,11 +30,9 @@ from .extractor import (
 from .persistence import (
     ModelStore,
     load_identifier,
-    load_identifier_npz,
     load_registry,
     registry_content_key,
     save_identifier,
-    save_identifier_npz,
     save_registry,
     warm_start_identifier,
 )
@@ -75,11 +73,9 @@ __all__ = [
     "fingerprint_summary",
     "ModelStore",
     "load_identifier",
-    "load_identifier_npz",
     "load_registry",
     "registry_content_key",
     "save_identifier",
-    "save_identifier_npz",
     "save_registry",
     "warm_start_identifier",
     "FEATURE_NAMES",

@@ -1,21 +1,21 @@
 """Save/load fingerprint corpora and trained identifiers.
 
-Everything round-trips through JSON so that a gateway operator can
-version-control the IoTSSP's model artifacts, ship them between machines,
-and reload them without retraining.  Format:
+Corpora round-trip through JSON so that an operator can version-control
+the IoTSSP's training data and ship it between machines:
 
 * fingerprint   — ``{"mac", "label", "packets": [[...23 floats...], ...]}``
 * registry      — ``{"types": {label: [fingerprint, ...]}}``
-* identifier    — hyper-parameters + per-type serialized forest +
-  reference fingerprints for the discrimination stage.
 
-Fleet-scale deployments additionally get a **binary model store**
-(:class:`ModelStore`): trained identifiers serialize to ``.npz`` payloads
-of the compiled flat node arrays (see :mod:`repro.ml.compiled`), keyed by
-a content hash over the training registry, the hyper-parameters, and the
-training entropy.  :func:`warm_start_identifier` consults the store before
-training and skips retraining entirely on a hit — ``docs/scaling.md``
-describes the format and its invalidation rules.
+A trained identifier has one file format, an ``.npz`` payload
+(:func:`save_identifier` / :func:`load_identifier`): every type's
+compiled flat node arrays (see :mod:`repro.ml.compiled`), its reference
+fingerprints, the hyper-parameters and the training entropy.  A loaded
+identifier is the trained one: it identifies alike, and ``add_type`` on
+it trains the byte-identical forest.  :class:`ModelStore` keeps such
+payloads under a content hash over the training registry, the
+hyper-parameters and the entropy; :func:`warm_start_identifier` consults
+the store before training and skips retraining entirely on a hit —
+``docs/scaling.md`` describes the format and its invalidation rules.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ml.compiled import CompiledForest, compile_forest, forest_from_flat
+from repro.ml.compiled import CompiledForest, forest_from_flat
 from repro.ml.parallel import derive_entropy
-from repro.ml.serialize import forest_from_dict, forest_to_dict
 from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
 
@@ -45,12 +44,8 @@ __all__ = [
     "registry_from_dict",
     "save_registry",
     "load_registry",
-    "identifier_to_dict",
-    "identifier_from_dict",
     "save_identifier",
     "load_identifier",
-    "save_identifier_npz",
-    "load_identifier_npz",
     "registry_content_key",
     "ModelStore",
     "warm_start_identifier",
@@ -58,9 +53,8 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
-#: Version of the binary (npz) model-store payload layout.  Bumping it
-#: invalidates every cached payload, which degrades to a retrain — never
-#: to a mis-parse.
+#: Version of the npz model payload layout.  Bumping it invalidates every
+#: cached payload, which degrades to a retrain — never to a mis-parse.
 _STORE_VERSION = 1
 
 
@@ -116,65 +110,7 @@ def load_registry(path: str | Path) -> DeviceTypeRegistry:
     return registry_from_dict(json.loads(Path(path).read_text()))
 
 
-def identifier_to_dict(identifier: DeviceIdentifier) -> dict:
-    models = identifier.snapshot.models
-    if not models:
-        raise ValueError("cannot serialize an untrained identifier")
-    return {
-        "version": _FORMAT_VERSION,
-        "params": {
-            "fp_length": identifier.fp_length,
-            "negative_ratio": identifier.negative_ratio,
-            "n_references": identifier.n_references,
-            "n_estimators": identifier.n_estimators,
-            "accept_threshold": identifier.accept_threshold,
-        },
-        "models": {
-            label: {
-                "forest": forest_to_dict(model.classifier),
-                "references": [fingerprint_to_dict(fp) for fp in model.references],
-            }
-            for label, model in models.items()
-        },
-    }
-
-
-def identifier_from_dict(data: dict) -> DeviceIdentifier:
-    params = data["params"]
-    identifier = DeviceIdentifier(
-        fp_length=int(params["fp_length"]),
-        negative_ratio=int(params["negative_ratio"]),
-        n_references=int(params["n_references"]),
-        n_estimators=int(params["n_estimators"]),
-        accept_threshold=float(params["accept_threshold"]),
-    )
-    models: dict[str, _TypeModel] = {}
-    for label, model in data["models"].items():
-        forest = forest_from_dict(model["forest"])
-        # Serialized boolean class labels come back as Python bools; the
-        # accept path expects True to be locatable in classes_.
-        forest.classes_ = np.asarray([bool(c) for c in forest.classes_])
-        for tree in forest.trees_:
-            tree.classes_ = np.asarray([bool(c) for c in tree.classes_])
-        models[label] = _TypeModel(
-            label=label,
-            classifier=forest,
-            compiled=compile_forest(forest),
-            references=tuple(fingerprint_from_dict(fp) for fp in model["references"]),
-        )
-    identifier.adopt(identifier.snapshot.successor(models))
-    return identifier
-
-
-def save_identifier(identifier: DeviceIdentifier, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(identifier_to_dict(identifier)))
-
-
-def load_identifier(path: str | Path) -> DeviceIdentifier:
-    return identifier_from_dict(json.loads(Path(path).read_text()))
-
-
-# --- binary (npz) payloads and the content-hash model store -----------------
+# --- model payloads (npz) and the content-hash model store ------------------
 
 
 def _identifier_params(identifier: DeviceIdentifier) -> dict:
@@ -188,17 +124,20 @@ def _identifier_params(identifier: DeviceIdentifier) -> dict:
     }
 
 
-def save_identifier_npz(
+def save_identifier(
     identifier: DeviceIdentifier, path: str | Path, *, key: str = ""
 ) -> None:
-    """Serialize a trained identifier as compiled flat arrays in one npz.
+    """Write a trained identifier to ``path`` as one npz payload.
 
     Every per-type forest is stored as the
     :class:`~repro.ml.compiled.CompiledForest` compiled when it was
     trained (node tables + leaf probabilities in forest class order);
-    reference fingerprints ride along as packed float64 matrices.  ``key`` (the
-    content hash, when saved through :class:`ModelStore`) is embedded so a
-    reader can detect a payload that no longer matches its filename.
+    reference fingerprints ride along as packed float64 matrices, and the
+    hyper-parameters and training entropy in a JSON ``meta`` entry.  The
+    bytes are a function of the model alone, so two saves of one model
+    are byte-identical.  ``key`` (the content hash, when saved through
+    :class:`ModelStore`) is embedded so a reader can detect a payload
+    that no longer matches its filename.
     """
     models = identifier.snapshot.models
     if not models:
@@ -236,78 +175,100 @@ def save_identifier_npz(
         "models": models_meta,
     }
     arrays["meta"] = np.asarray(json.dumps(meta))
-    np.savez_compressed(Path(path), **arrays)
+    # Through a handle: given a path, numpy appends ".npz" to any name
+    # that lacks it and the file would not be where the caller asked.
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
 
 
-def load_identifier_npz(
+def load_identifier(
     path: str | Path, *, expected_key: str | None = None
 ) -> DeviceIdentifier:
-    """Rebuild an identifier from :func:`save_identifier_npz` output.
+    """Rebuild the identifier :func:`save_identifier` wrote to ``path``.
 
     Each type's :class:`~repro.ml.compiled.CompiledForest` is taken
-    straight from the payload, so a warm start compiles nothing.  Raises
-    ``ValueError`` on a version mismatch or (when ``expected_key`` is
-    given) a stale embedded content hash; the model store turns both into
-    cache misses.
+    straight from the payload, so a load compiles nothing; the
+    hyper-parameters and training entropy come back too.  Raises
+    ``ValueError`` naming ``path`` for anything that is not such a
+    payload (a JSON model from an older version, a bare ``.npy`` array,
+    random bytes), on a version mismatch and, when ``expected_key`` is
+    given, on a stale embedded content hash; the model store turns each
+    into a cache miss.
     """
-    with np.load(Path(path), allow_pickle=False) as payload:
-        meta = json.loads(str(payload["meta"][()]))
-        if meta.get("store_version") != _STORE_VERSION:
-            raise ValueError(f"unsupported model-store version {meta.get('store_version')}")
-        if expected_key is not None and meta.get("key") != expected_key:
-            raise ValueError("stale model payload: embedded content hash mismatch")
-        params = meta["params"]
-        max_depth = params["max_depth"]
-        identifier = DeviceIdentifier(
-            fp_length=int(params["fp_length"]),
-            negative_ratio=int(params["negative_ratio"]),
-            n_references=int(params["n_references"]),
-            n_estimators=int(params["n_estimators"]),
-            max_depth=None if max_depth is None else int(max_depth),
-            accept_threshold=float(params["accept_threshold"]),
-            random_state=int(meta["entropy"]),
+    with open(path, "rb") as handle:
+        magic = handle.read(4)
+    if magic != b"PK\x03\x04":
+        raise ValueError(
+            f"{path} is not a model file: expected the npz payload `train` "
+            "writes (a JSON model from an older version must be retrained)"
         )
-        models: dict[str, _TypeModel] = {}
-        for i, model_meta in enumerate(meta["models"]):
-            prefix = f"m{i}_"
-            classes = np.asarray([bool(c) for c in payload[prefix + "classes"]])
-            compiled = CompiledForest(
-                feature=payload[prefix + "feature"],
-                threshold=payload[prefix + "threshold"],
-                left=payload[prefix + "left"],
-                right=payload[prefix + "right"],
-                proba=payload[prefix + "proba"],
-                tree_roots=payload[prefix + "roots"],
-                classes_=classes,
-                max_depth=int(model_meta["max_depth"]),
+    try:
+        with np.load(path, allow_pickle=False) as payload:
+            return _identifier_from_payload(payload, expected_key)
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a valid model file: {exc}") from exc
+
+
+def _identifier_from_payload(
+    payload: np.lib.npyio.NpzFile, expected_key: str | None
+) -> DeviceIdentifier:
+    meta = json.loads(str(payload["meta"][()]))
+    if meta.get("store_version") != _STORE_VERSION:
+        raise ValueError(f"unsupported model-store version {meta.get('store_version')}")
+    if expected_key is not None and meta.get("key") != expected_key:
+        raise ValueError("stale model payload: embedded content hash mismatch")
+    params = meta["params"]
+    max_depth = params["max_depth"]
+    identifier = DeviceIdentifier(
+        fp_length=int(params["fp_length"]),
+        negative_ratio=int(params["negative_ratio"]),
+        n_references=int(params["n_references"]),
+        n_estimators=int(params["n_estimators"]),
+        max_depth=None if max_depth is None else int(max_depth),
+        accept_threshold=float(params["accept_threshold"]),
+        random_state=int(meta["entropy"]),
+    )
+    models: dict[str, _TypeModel] = {}
+    for i, model_meta in enumerate(meta["models"]):
+        prefix = f"m{i}_"
+        classes = np.asarray([bool(c) for c in payload[prefix + "classes"]])
+        compiled = CompiledForest(
+            feature=payload[prefix + "feature"],
+            threshold=payload[prefix + "threshold"],
+            left=payload[prefix + "left"],
+            right=payload[prefix + "right"],
+            proba=payload[prefix + "proba"],
+            tree_roots=payload[prefix + "roots"],
+            classes_=classes,
+            max_depth=int(model_meta["max_depth"]),
+        )
+        forest = forest_from_flat(
+            compiled,
+            n_estimators=identifier.n_estimators,
+            max_depth=identifier.max_depth,
+        )
+        references = []
+        offset = 0
+        rows = payload[prefix + "refs"]
+        for length, mac, ref_label in zip(
+            payload[prefix + "ref_lens"],
+            model_meta["ref_macs"],
+            model_meta["ref_labels"],
+        ):
+            packets = tuple(
+                tuple(float(x) for x in row)
+                for row in rows[offset : offset + int(length)]
             )
-            forest = forest_from_flat(
-                compiled,
-                n_estimators=identifier.n_estimators,
-                max_depth=identifier.max_depth,
+            offset += int(length)
+            references.append(
+                Fingerprint(packets=packets, device_mac=mac, label=ref_label)
             )
-            references = []
-            offset = 0
-            rows = payload[prefix + "refs"]
-            for length, mac, ref_label in zip(
-                payload[prefix + "ref_lens"],
-                model_meta["ref_macs"],
-                model_meta["ref_labels"],
-            ):
-                packets = tuple(
-                    tuple(float(x) for x in row)
-                    for row in rows[offset : offset + int(length)]
-                )
-                offset += int(length)
-                references.append(
-                    Fingerprint(packets=packets, device_mac=mac, label=ref_label)
-                )
-            models[model_meta["label"]] = _TypeModel(
-                label=model_meta["label"],
-                classifier=forest,
-                compiled=compiled,
-                references=tuple(references),
-            )
+        models[model_meta["label"]] = _TypeModel(
+            label=model_meta["label"],
+            classifier=forest,
+            compiled=compiled,
+            references=tuple(references),
+        )
     identifier.adopt(identifier.snapshot.successor(models))
     return identifier
 
@@ -373,7 +334,7 @@ class ModelStore:
 
     def save(self, identifier: DeviceIdentifier, key: str) -> Path:
         path = self.path_for(key)
-        save_identifier_npz(identifier, path, key=key)
+        save_identifier(identifier, path, key=key)
         return path
 
     def load(self, key: str) -> DeviceIdentifier | None:
@@ -382,8 +343,8 @@ class ModelStore:
             obs_counter(obs_names.METRIC_MODEL_STORE_MISSES).inc()
             return None
         try:
-            identifier = load_identifier_npz(path, expected_key=key)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+            identifier = load_identifier(path, expected_key=key)
+        except (OSError, ValueError):
             obs_counter(obs_names.METRIC_MODEL_STORE_MISSES).inc()
             return None
         obs_counter(obs_names.METRIC_MODEL_STORE_HITS).inc()

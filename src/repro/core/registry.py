@@ -37,6 +37,17 @@ class DeviceTypeRegistry:
         for label, fingerprints in corpus.items():
             self.add_many(label, fingerprints)
 
+    def with_added(self, label: str, fingerprints: Iterable[Fingerprint]) -> "DeviceTypeRegistry":
+        """A copy of this registry with ``fingerprints`` added under ``label``.
+
+        This registry is left as it is, so a caller can train on the copy
+        and keep it only when training succeeds.
+        """
+        copy = DeviceTypeRegistry()
+        copy._store = {other: list(fps) for other, fps in self._store.items()}
+        copy.add_many(label, fingerprints)
+        return copy
+
     def remove_type(self, label: str) -> None:
         if label not in self._store:
             raise KeyError(label)

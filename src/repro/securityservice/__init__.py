@@ -35,7 +35,7 @@ from .resilience import (
     TransportFault,
     TransportTimeout,
 )
-from .service import IoTSecurityService
+from .service import IoTSecurityService, NoCorpusError
 from .sharding import DEFAULT_VNODES, HashRing, ShardedSecurityService
 from .vulndb import VulnerabilityDatabase, VulnerabilityRecord, seed_database
 
@@ -56,6 +56,7 @@ __all__ = [
     "IoTSecurityService",
     "IsolationDirective",
     "ManualClock",
+    "NoCorpusError",
     "ProtocolError",
     "ResilientTransport",
     "RetryPolicy",

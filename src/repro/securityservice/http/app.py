@@ -21,7 +21,9 @@ Request processing order (each stage short-circuits):
 
 Every request runs inside a ``service.http.request`` span and increments
 ``service_http_requests_total`` labelled with the route pattern (not the
-raw path — bounded cardinality) and status code.
+raw path — bounded cardinality) and status code.  A response that
+matched no route (404, 413, and 401 before a ``/v1`` route is resolved)
+is labelled ``<unmatched>``, so a path scanner adds no label sets.
 """
 
 from __future__ import annotations
@@ -38,16 +40,19 @@ from repro.obs import registry_to_prometheus
 from repro.obs import span as obs_span
 
 from ..protocol import IsolationDirective
-from ..service import IoTSecurityService
+from ..service import IoTSecurityService, NoCorpusError
 from .auth import ANONYMOUS_GATEWAY, ApiKeyRegistry
 from .ratelimit import GatewayRateLimiter
 from .wire import WireError, directive_to_dict, report_from_dict
 
-__all__ = ["AppResponse", "ServiceApp", "MAX_BODY_BYTES"]
+__all__ = ["AppResponse", "ServiceApp", "MAX_BODY_BYTES", "UNMATCHED"]
 
 #: Reject request bodies larger than this with 413 (a full registry's
 #: fingerprints arrive in batches far below it; this guards the parser).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: The ``endpoint`` metric label of a response that matched no route.
+UNMATCHED = "<unmatched>"
 
 _JSON = "application/json"
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
@@ -134,14 +139,14 @@ class ServiceApp:
         self, method: str, path: str, headers: Mapping[str, str], body: bytes
     ) -> tuple[str, AppResponse]:
         if len(body) > MAX_BODY_BYTES:
-            return path, _error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            return UNMATCHED, _error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         if path == "/healthz":
             return "/healthz", self._only(method, "GET", self._healthz)
         if path == "/metrics":
             return "/metrics", self._only(method, "GET", self._metrics)
         if path.startswith("/v1"):
             return self._dispatch_v1(method, path, headers, body)
-        return path, _error(404, f"no such endpoint: {path}")
+        return UNMATCHED, _error(404, f"no such endpoint: {path}")
 
     def _dispatch_v1(
         self, method: str, path: str, headers: Mapping[str, str], body: bytes
@@ -149,7 +154,7 @@ class ServiceApp:
         gateway_id = headers.get("x-gateway-id") or ANONYMOUS_GATEWAY
         if not self.auth.verify(headers.get("x-gateway-id"), headers.get("x-api-key")):
             obs_counter(obs_names.METRIC_HTTP_AUTH_FAILURES).inc()
-            return path, _error(
+            return UNMATCHED, _error(
                 401,
                 "missing or invalid API key (send X-Gateway-Id and X-Api-Key)",
                 {"WWW-Authenticate": 'ApiKey header="X-Api-Key"'},
@@ -179,7 +184,7 @@ class ServiceApp:
                     gateway_id, 1.0, lambda: self._directive(device_type)
                 ),
             )
-        return path, _error(404, f"no such endpoint: {path}")
+        return UNMATCHED, _error(404, f"no such endpoint: {path}")
 
     # --- plumbing -----------------------------------------------------------
 
@@ -306,6 +311,9 @@ class ServiceApp:
         with self._lock:
             if label in self.service.known_types:
                 return _error(409, f"device type already enrolled: {label}")
-            self.service.enroll_type(label, fingerprints)
+            try:
+                self.service.enroll_type(label, fingerprints)
+            except NoCorpusError as exc:
+                return _error(409, str(exc))
             count = len(self.service.known_types)
         return _json_response(201, {"label": label, "known_types": count})

@@ -34,7 +34,7 @@ from repro.obs import RecordingProvider, set_provider
 from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
 
-from .app import AppResponse
+from .app import MAX_BODY_BYTES, AppResponse
 
 __all__ = ["SecurityServiceHTTPServer", "DEFAULT_MAX_SPAN_RECORDS"]
 
@@ -43,10 +43,11 @@ DEFAULT_MAX_SPAN_RECORDS = 4096
 
 
 def _refusal(status: int, message: str) -> AppResponse:
-    """A framing error: answered, then the connection is closed.
+    """A framing error or an oversized body: answered, then the
+    connection is closed.
 
-    The server did not read the body it cannot frame, so under
-    keep-alive those bytes would be parsed as the next request.
+    The server did not read the body it refuses, so under keep-alive
+    those bytes would be parsed as the next request.
     """
     return AppResponse(
         status,
@@ -96,6 +97,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(_refusal(400, "invalid Content-Length"))
             return None
         length = int(raw)
+        if length > MAX_BODY_BYTES:
+            # Refused before reading: one client cannot make a handler
+            # buffer an oversized body or wait for one it never sends.
+            self._send(_refusal(413, f"body exceeds {MAX_BODY_BYTES} bytes"))
+            return None
         return self.rfile.read(length) if length else b""
 
     def _send(self, response: AppResponse) -> None:

@@ -30,7 +30,16 @@ from .incidents import IncidentAggregator, IncidentReport
 from .protocol import FingerprintReport, IsolationDirective
 from .vulndb import VulnerabilityDatabase, seed_database
 
-__all__ = ["IoTSecurityService"]
+__all__ = ["IoTSecurityService", "NoCorpusError"]
+
+
+class NoCorpusError(RuntimeError):
+    """Enrolment asked of a service that holds no training corpus.
+
+    A new type's classifier trains against every other type's
+    fingerprints, so a service serving a model file loaded without its
+    corpus can identify but cannot enrol.
+    """
 
 
 class IoTSecurityService:
@@ -70,9 +79,21 @@ class IoTSecurityService:
         self.identifier.adopt(snapshot)
 
     def enroll_type(self, label: str, fingerprints: Iterable[Fingerprint]) -> None:
-        """Add one new device type incrementally (no global relearning)."""
-        self._registry.add_many(label, list(fingerprints))
-        self.identifier.add_type(self._registry, label)
+        """Add one new device type incrementally (no global relearning).
+
+        Trains on a copy of the corpus and keeps it only once training
+        succeeded, so a failed enrolment leaves the corpus and the model
+        as they were.  Raises :class:`NoCorpusError` when there is no
+        corpus to train against.
+        """
+        if not len(self._registry):
+            raise NoCorpusError(
+                "no training corpus: this service serves a model without the "
+                "corpus it was trained on, so it cannot train a new type"
+            )
+        registry = self._registry.with_added(label, fingerprints)
+        self.identifier.add_type(registry, label)
+        self._registry = registry
 
     def retire_type(self, label: str) -> None:
         self._registry.remove_type(label)

@@ -288,13 +288,14 @@ class ShardedSecurityService:
     def enroll_type(self, label: str, fingerprints: Iterable[Fingerprint]) -> None:
         """Enroll one new type: train it once, publish it to every replica.
 
-        All shards share one registry object, so the corpus mutation
-        happens once; the type's forest is trained and compiled once, on
-        the source shard's identifier, and every shard then serves that
-        same snapshot.  No other type is retrained or recompiled.
+        The type's forest is trained and compiled once, on the source
+        shard's identifier, against a copy of the corpus that replaces it
+        only once training succeeded; every shard then serves that same
+        snapshot and corpus.  No other type is retrained or recompiled.
         """
-        self._registry.add_many(label, list(fingerprints))
-        self._source().identifier.add_type(self._registry, label)
+        registry = self._registry.with_added(label, fingerprints)
+        self._source().identifier.add_type(registry, label)
+        self._registry = registry
         self._publish()
 
     def retire_type(self, label: str) -> None:

@@ -1,12 +1,14 @@
 """Model-store round trips: npz payloads, content keys, warm starts.
 
 The binary store only earns its keep if a cache hit is *indistinguishable*
-from retraining: these tests pin that ``save_identifier_npz →
-load_identifier_npz`` preserves every ``identify()`` outcome on held-out
+from retraining: these tests pin that ``save_identifier →
+load_identifier`` preserves every ``identify()`` outcome on held-out
 fingerprints, that the content key tracks registry/hyper-parameter/seed
 changes, and that stale or corrupt payloads degrade to misses (retrain),
 never to wrong answers.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ import pytest
 from repro.core import (
     DeviceIdentifier,
     ModelStore,
-    load_identifier_npz,
+    load_identifier,
     registry_content_key,
-    save_identifier_npz,
+    save_identifier,
     warm_start_identifier,
 )
 from repro.devices import DEVICE_PROFILES, collect_dataset
@@ -49,16 +51,16 @@ class TestNpzRoundTrip:
         self, small_identifier, held_out, tmp_path
     ):
         path = tmp_path / "bank.npz"
-        save_identifier_npz(small_identifier, path)
-        restored = load_identifier_npz(path)
+        save_identifier(small_identifier, path)
+        restored = load_identifier(path)
         assert restored.labels == small_identifier.labels
         for fp in held_out:
             assert results_equal(restored.identify(fp), small_identifier.identify(fp))
 
     def test_forest_probas_bit_identical(self, small_identifier, held_out, tmp_path):
         path = tmp_path / "bank.npz"
-        save_identifier_npz(small_identifier, path)
-        restored = load_identifier_npz(path)
+        save_identifier(small_identifier, path)
+        restored = load_identifier(path)
         stacked = np.vstack(
             [fp.fixed(small_identifier.fp_length) for fp in held_out[:8]]
         )
@@ -71,8 +73,8 @@ class TestNpzRoundTrip:
 
     def test_references_and_params_survive(self, small_identifier, tmp_path):
         path = tmp_path / "bank.npz"
-        save_identifier_npz(small_identifier, path)
-        restored = load_identifier_npz(path)
+        save_identifier(small_identifier, path)
+        restored = load_identifier(path)
         assert restored.fp_length == small_identifier.fp_length
         assert restored.accept_threshold == small_identifier.accept_threshold
         assert restored._entropy == small_identifier._entropy
@@ -86,7 +88,45 @@ class TestNpzRoundTrip:
 
     def test_untrained_identifier_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            save_identifier_npz(DeviceIdentifier(), tmp_path / "x.npz")
+            save_identifier(DeviceIdentifier(), tmp_path / "x.npz")
+
+    def test_writes_exactly_the_given_path(self, small_identifier, tmp_path):
+        path = tmp_path / "model.json"
+        save_identifier(small_identifier, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+        assert load_identifier(path).labels == small_identifier.labels
+
+
+class TestLoadErrors:
+    """Anything that is not a model payload is a ValueError naming the file."""
+
+    @staticmethod
+    def write_json_model(path):
+        # The shape of the JSON model files older versions wrote.
+        path.write_text(json.dumps({"version": 1, "params": {}, "models": {}}))
+
+    @staticmethod
+    def write_npy(path):
+        with open(path, "wb") as handle:
+            np.save(handle, np.arange(4))
+
+    @staticmethod
+    def write_random_bytes(path):
+        path.write_bytes(np.random.default_rng(0).bytes(256))
+
+    @staticmethod
+    def write_foreign_npz(path):
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, x=np.arange(4))
+
+    @pytest.mark.parametrize(
+        "write", ["write_json_model", "write_npy", "write_random_bytes", "write_foreign_npz"]
+    )
+    def test_value_error_names_the_path(self, write, tmp_path):
+        path = tmp_path / "model.bin"
+        getattr(self, write)(path)
+        with pytest.raises(ValueError, match=str(path)):
+            load_identifier(path)
 
 
 class TestContentKey:

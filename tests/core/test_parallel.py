@@ -6,8 +6,6 @@ fit-vs-add_type never change a trained model.  The seeding helpers live in
 ``repro.core``.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from repro.core import (
     label_seed_sequence,
     spawn_generators,
 )
-from repro.core.persistence import identifier_to_dict
+from repro.core.persistence import save_identifier
 from repro.ml.forest import RandomForestClassifier
 
 from .test_registry_identifier import synthetic_registry
@@ -60,12 +58,15 @@ class TestSeeding:
             spawn_generators(np.random.default_rng(0), -1)
 
 
-def _model_dict(identifier):
-    return json.dumps(identifier_to_dict(identifier), sort_keys=True)
+def _payload(identifier, path):
+    """The saved model file's bytes: every type's node tables, leaf
+    probabilities and references, the hyper-parameters and the entropy."""
+    save_identifier(identifier, path)
+    return path.read_bytes()
 
 
 class TestFitDeterminism:
-    def test_fit_independent_of_other_types(self):
+    def test_fit_independent_of_other_types(self, tmp_path):
         # A type's model depends only on (seed, label, corpus content) —
         # retraining after unrelated additions reproduces it exactly.
         registry = synthetic_registry(n_types=4, per_type=8)
@@ -73,15 +74,15 @@ class TestFitDeterminism:
         partial = DeviceIdentifier(random_state=5)
         partial.fit(registry)
         partial.add_type(registry, "type2")  # retrain one type in place
-        assert _model_dict(partial) == _model_dict(full)
+        assert _payload(partial, tmp_path / "a.npz") == _payload(full, tmp_path / "b.npz")
 
-    def test_add_type_matches_fit(self):
+    def test_add_type_matches_fit(self, tmp_path):
         registry = synthetic_registry(n_types=4, per_type=8)
         full = DeviceIdentifier(random_state=31).fit(registry)
         incremental = DeviceIdentifier(random_state=31).fit(registry)
         incremental.remove_type("type3")
         incremental.add_type(registry, "type3")
-        assert _model_dict(incremental) == _model_dict(full)
+        assert _payload(incremental, tmp_path / "a.npz") == _payload(full, tmp_path / "b.npz")
 
 
 class TestForestDeterminism:

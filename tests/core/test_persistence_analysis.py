@@ -1,4 +1,5 @@
-"""Serialization round-trips and fingerprint/classifier analysis."""
+"""Serialization round-trips (corpora as JSON, models as npz payloads)
+and fingerprint/classifier analysis."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from repro.core import (
     FEATURE_NAMES,
     DeviceIdentifier,
+    DeviceTypeRegistry,
     Fingerprint,
     classifier_feature_importance,
     fingerprint_summary,
@@ -18,11 +20,10 @@ from repro.core import (
 from repro.core.persistence import (
     fingerprint_from_dict,
     fingerprint_to_dict,
-    identifier_from_dict,
-    identifier_to_dict,
     registry_from_dict,
     registry_to_dict,
 )
+from repro.devices import DEVICE_PROFILES, collect_dataset
 
 
 class TestFingerprintSerialization:
@@ -60,30 +61,75 @@ class TestRegistrySerialization:
         assert restored.labels == small_registry.labels
 
 
+#: Every hyper-parameter away from its default, so a load that drops or
+#: resets one is seen.
+NON_DEFAULT_PARAMS = dict(
+    fp_length=10,
+    negative_ratio=4,
+    n_references=3,
+    n_estimators=7,
+    max_depth=6,
+    accept_threshold=0.45,
+)
+
+
+@pytest.fixture(scope="module")
+def lab_corpus():
+    return collect_dataset(DEVICE_PROFILES, runs_per_device=6, seed=2017)
+
+
+def saved_and_loaded(identifier, path):
+    save_identifier(identifier, path)
+    return load_identifier(path)
+
+
+def corpus_without(registry, label):
+    out = DeviceTypeRegistry()
+    for other in registry.labels:
+        if other != label:
+            out.add_many(other, registry.fingerprints(other))
+    return out
+
+
 class TestIdentifierSerialization:
-    def test_predictions_preserved(self, small_registry, small_identifier):
-        restored = identifier_from_dict(identifier_to_dict(small_identifier))
-        assert restored.labels == small_identifier.labels
-        for label in small_registry.labels:
-            fp = small_registry.fingerprints(label)[0]
-            assert restored.classify(fp) == small_identifier.classify(fp)
+    def test_predictions_preserved(self, lab_corpus, tmp_path):
+        identifier = DeviceIdentifier(random_state=5).fit(lab_corpus)
+        restored = saved_and_loaded(identifier, tmp_path / "model.npz")
+        assert restored.labels == identifier.labels
+        probes = [fp for label in lab_corpus.labels for fp in lab_corpus.fingerprints(label)]
+        assert restored.identify_batch(probes) == identifier.identify_batch(probes)
 
     def test_file_roundtrip(self, small_registry, small_identifier, tmp_path):
-        path = tmp_path / "model.json"
-        save_identifier(small_identifier, path)
-        restored = load_identifier(path)
+        restored = saved_and_loaded(small_identifier, tmp_path / "model.npz")
         fp = small_registry.fingerprints("HueBridge")[0]
         assert restored.identify(fp).label == "HueBridge"
 
-    def test_params_preserved(self, small_identifier):
-        restored = identifier_from_dict(identifier_to_dict(small_identifier))
-        assert restored.fp_length == small_identifier.fp_length
-        assert restored.accept_threshold == small_identifier.accept_threshold
-        assert restored.n_references == small_identifier.n_references
+    def test_params_preserved(self, small_registry, tmp_path):
+        identifier = DeviceIdentifier(random_state=5, **NON_DEFAULT_PARAMS).fit(small_registry)
+        restored = saved_and_loaded(identifier, tmp_path / "model.npz")
+        assert restored._entropy == identifier._entropy == 5
+        for name, value in NON_DEFAULT_PARAMS.items():
+            assert getattr(restored, name) == value, name
 
-    def test_untrained_rejected(self):
+    def test_add_type_after_load_is_byte_identical(self, small_registry, tmp_path):
+        # The paper's case for one classifier per type: a served model
+        # takes a new type without retraining the others.  That holds for
+        # a loaded model only if it trains what the original would.
+        corpus = corpus_without(small_registry, "Aria")
+        original = DeviceIdentifier(random_state=5, **NON_DEFAULT_PARAMS).fit(corpus)
+        loads = [saved_and_loaded(original, tmp_path / f"model{i}.npz") for i in range(2)]
+        corpus.add_many("Aria", small_registry.fingerprints("Aria"))
+        payloads = []
+        for i, identifier in enumerate([original, *loads]):
+            identifier.add_type(corpus, "Aria")
+            path = tmp_path / f"enrolled{i}.npz"
+            save_identifier(identifier, path)
+            payloads.append(path.read_bytes())
+        assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
+
+    def test_untrained_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            identifier_to_dict(DeviceIdentifier())
+            save_identifier(DeviceIdentifier(), tmp_path / "model.npz")
 
 
 class TestAnalysis:

@@ -104,7 +104,7 @@ class TestCLI:
 
     def test_simulate_identify_workflow(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.json"
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.npz"
         pcap = tmp_path / "device.pcap"
 
         # Small corpus via the library (the CLI default of 27x20 is slow).
@@ -128,7 +128,7 @@ class TestCLI:
         from repro.devices import DEVICE_PROFILES, collect_dataset
 
         registry = collect_dataset(DEVICE_PROFILES[:4], runs_per_device=8, seed=4)
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.npz"
         save_identifier(DeviceIdentifier(random_state=2).fit(registry), model)
         pcap = tmp_path / "x.pcap"
         assert cli_main(["simulate", "--device", "Aria", "--seed", "1", "--output", str(pcap)]) == 0
@@ -140,7 +140,7 @@ class TestCLI:
         from repro.devices import DEVICE_PROFILES, collect_dataset
 
         registry = collect_dataset(DEVICE_PROFILES[:4], runs_per_device=8, seed=4)
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.npz"
         save_identifier(DeviceIdentifier(random_state=2).fit(registry), model)
         pcap = tmp_path / "x.pcap"
         cli_main(["simulate", "--device", "Aria", "--seed", "1", "--output", str(pcap)])

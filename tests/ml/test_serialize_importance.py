@@ -1,63 +1,21 @@
-"""Tree/forest serialization and feature importance tests."""
+"""Tree/forest feature importance tests.
 
-import json
+(Models are saved as npz payloads of compiled node tables; their round
+trips are tested in ``tests/core/test_model_store.py`` and
+``tests/core/test_persistence_analysis.py``.)
+"""
 
 import numpy as np
 import pytest
 
 from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from repro.ml.importance import forest_feature_importance, tree_feature_importance
-from repro.ml.serialize import (
-    forest_from_dict,
-    forest_to_dict,
-    tree_from_dict,
-    tree_to_dict,
-)
 
 
 def task(rng, n=200):
     x = rng.normal(size=(n, 8))
     y = (x[:, 2] > 0).astype(int)
     return x, y
-
-
-class TestTreeSerialization:
-    def test_roundtrip_predictions(self, rng):
-        x, y = task(rng)
-        tree = DecisionTreeClassifier(max_features=None, random_state=0).fit(x, y)
-        restored = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))))
-        assert np.array_equal(restored.predict_proba(x), tree.predict_proba(x))
-        assert np.array_equal(restored.predict(x), tree.predict(x))
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(ValueError):
-            tree_to_dict(DecisionTreeClassifier())
-
-    def test_string_classes(self, rng):
-        x, y_num = task(rng)
-        y = np.where(y_num == 1, "pos", "neg")
-        tree = DecisionTreeClassifier(random_state=0).fit(x, y)
-        restored = tree_from_dict(tree_to_dict(tree))
-        assert list(restored.classes_) == ["neg", "pos"]
-
-
-class TestForestSerialization:
-    def test_roundtrip_probabilities(self, rng):
-        x, y = task(rng)
-        forest = RandomForestClassifier(n_estimators=6, random_state=1).fit(x, y)
-        restored = forest_from_dict(json.loads(json.dumps(forest_to_dict(forest))))
-        assert np.allclose(restored.predict_proba(x), forest.predict_proba(x))
-
-    def test_boolean_classes(self, rng):
-        x, y = task(rng)
-        forest = RandomForestClassifier(n_estimators=3, random_state=1).fit(x, y.astype(bool))
-        blob = json.dumps(forest_to_dict(forest))
-        restored = forest_from_dict(json.loads(blob))
-        assert [bool(c) for c in restored.classes_] == [False, True]
-
-    def test_unfitted_rejected(self):
-        with pytest.raises(ValueError):
-            forest_to_dict(RandomForestClassifier())
 
 
 class TestImportance:

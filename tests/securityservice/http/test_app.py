@@ -14,7 +14,7 @@ from repro.securityservice.http import (
     ServiceApp,
     directive_from_dict,
 )
-from repro.securityservice.http.app import MAX_BODY_BYTES
+from repro.securityservice.http.app import MAX_BODY_BYTES, UNMATCHED
 from repro.securityservice.http.wire import report_to_dict
 
 from ..test_securityservice import copy_registry
@@ -265,6 +265,30 @@ class TestRequestMetrics:
         assert samples[("/v1/directive/{device_type}", "404")] == 1.0
         assert samples[("/v1/report", "200")] == 1.0
         assert [r.name for r in spans].count("service.http.request") == 3
+
+
+    def test_unmatched_requests_add_at_most_two_label_sets(self, service):
+        # A path scanner must not grow the metrics registry: 404s, and
+        # 401s before a /v1 route is resolved, share one endpoint label.
+        app = ServiceApp(service, auth=ApiKeyRegistry({"gw-1": "secret"}))
+        with use_provider(RecordingProvider()) as provider:
+            for i in range(500):
+                assert app.handle("GET", f"/scan/{i}", {}, b"").status == 404
+                assert app.handle("GET", f"/v1/directive/{i}", {}, b"").status == 401
+            snapshot = metrics_snapshot(provider.metrics)
+        samples = {
+            (s["labels"]["endpoint"], s["labels"]["status"]): s["value"]
+            for s in snapshot["service_http_requests_total"]["samples"]
+        }
+        assert samples == {(UNMATCHED, "404"): 500.0, (UNMATCHED, "401"): 500.0}
+
+    def test_oversized_body_is_counted_unmatched(self, app):
+        with use_provider(RecordingProvider()) as provider:
+            response = app.handle("POST", "/v1/reports", {}, b" " * (MAX_BODY_BYTES + 1))
+            snapshot = metrics_snapshot(provider.metrics)
+        assert response.status == 413
+        (sample,) = snapshot["service_http_requests_total"]["samples"]
+        assert sample["labels"] == {"endpoint": UNMATCHED, "status": "413"}
 
 
 class UntouchableService:

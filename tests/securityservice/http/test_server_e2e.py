@@ -36,6 +36,7 @@ from repro.securityservice.http import (
     SystemClock,
 )
 from repro.securityservice.http import server as server_module
+from repro.securityservice.http.app import MAX_BODY_BYTES
 
 #: Fast backoff so retry paths run in milliseconds of wall time.
 FAST = RetryPolicy(max_attempts=3, base_delay=0.01, multiplier=1.0, max_delay=0.05, jitter=0.0)
@@ -51,14 +52,29 @@ def scrape(server, path="/metrics"):
         connection.close()
 
 
+@pytest.fixture()
+def transports():
+    """Builds :class:`HttpTransport`s and closes each after the test, so
+    no kept-alive socket is left for the garbage collector."""
+    made: list[HttpTransport] = []
+
+    def make(*args, **kwargs) -> HttpTransport:
+        made.append(HttpTransport(*args, **kwargs))
+        return made[-1]
+
+    yield make
+    for transport in made:
+        transport.close()
+
+
 class TestRoundTrip:
     @pytest.fixture()
     def server(self, service):
         with SecurityServiceHTTPServer(ServiceApp(service)) as server:
             yield server
 
-    def test_submit_then_lookup_then_scrape(self, server, probe):
-        transport = HttpTransport(server.base_url, gateway_id="gw-e2e")
+    def test_submit_then_lookup_then_scrape(self, server, probe, transports):
+        transport = transports(server.base_url, gateway_id="gw-e2e")
         directive = transport.submit(FingerprintReport(fingerprint=probe))
         assert directive.device_type == "Aria"
 
@@ -71,39 +87,39 @@ class TestRoundTrip:
         assert "service_reports_handled_total 1" in text
         assert "service_http_requests_total" in text
 
-    def test_batch_submit(self, server, probe):
-        transport = HttpTransport(server.base_url)
+    def test_batch_submit(self, server, probe, transports):
+        transport = transports(server.base_url)
         reports = [FingerprintReport(fingerprint=probe) for _ in range(4)]
         directives = transport.submit_many(reports)
         assert len(directives) == 4
         assert {d.device_type for d in directives} == {"Aria"}
 
-    def test_types_and_health(self, server, service):
-        transport = HttpTransport(server.base_url)
+    def test_types_and_health(self, server, service, transports):
+        transport = transports(server.base_url)
         assert transport.request_json("GET", "/v1/types")["types"] == service.known_types
         health = transport.request_json("GET", "/healthz")
         assert health["status"] == "ok"
 
-    def test_client_errors_are_fatal_protocol_errors(self, server):
-        transport = HttpTransport(server.base_url)
+    def test_client_errors_are_fatal_protocol_errors(self, server, transports):
+        transport = transports(server.base_url)
         with pytest.raises(ProtocolError, match="404"):
             transport.request_json("GET", "/v1/directive/Toaster9000")
 
-    def test_connection_refused_is_retryable(self, server, probe):
+    def test_connection_refused_is_retryable(self, server, probe, transports):
         # A dead port maps onto ServiceUnavailable, not a raw OSError.
-        dead = HttpTransport(f"http://{server.host}:1", timeout=0.5)
+        dead = transports(f"http://{server.host}:1", timeout=0.5)
         with pytest.raises(ServiceUnavailable):
             dead.submit(FingerprintReport(fingerprint=probe))
 
 
 class TestAuthOverHttp:
-    def test_wrong_key_is_fatal_right_key_passes(self, service, probe):
+    def test_wrong_key_is_fatal_right_key_passes(self, service, probe, transports):
         app = ServiceApp(service, auth=ApiKeyRegistry({"gw-1": "secret"}))
         with SecurityServiceHTTPServer(app) as server:
-            wrong = HttpTransport(server.base_url, gateway_id="gw-1", api_key="nope")
+            wrong = transports(server.base_url, gateway_id="gw-1", api_key="nope")
             with pytest.raises(ProtocolError, match="401"):
                 wrong.submit(FingerprintReport(fingerprint=probe))
-            right = HttpTransport(server.base_url, gateway_id="gw-1", api_key="secret")
+            right = transports(server.base_url, gateway_id="gw-1", api_key="secret")
             directive = right.submit(FingerprintReport(fingerprint=probe))
             assert directive.device_type == "Aria"
 
@@ -128,11 +144,11 @@ class FlakyApp:
 
 
 class TestResilienceOverHttp:
-    def test_retries_ride_out_a_transient_outage(self, service, probe):
+    def test_retries_ride_out_a_transient_outage(self, service, probe, transports):
         flaky = FlakyApp(ServiceApp(service), failures=2)
         with SecurityServiceHTTPServer(flaky) as server:
             transport = ResilientTransport(
-                HttpTransport(server.base_url, gateway_id="gw-r"),
+                transports(server.base_url, gateway_id="gw-r"),
                 policy=FAST,
                 clock=SystemClock(),
             )
@@ -141,11 +157,11 @@ class TestResilienceOverHttp:
         assert flaky.calls == 3  # two 503s, one success
         assert transport.attempts == 3
 
-    def test_persistent_outage_exhausts_retries(self, service, probe):
+    def test_persistent_outage_exhausts_retries(self, service, probe, transports):
         flaky = FlakyApp(ServiceApp(service), failures=10 ** 6)
         with SecurityServiceHTTPServer(flaky) as server:
             transport = ResilientTransport(
-                HttpTransport(server.base_url),
+                transports(server.base_url),
                 policy=FAST,
                 clock=SystemClock(),
                 breaker=CircuitBreaker(failure_threshold=100),
@@ -154,11 +170,11 @@ class TestResilienceOverHttp:
                 transport.submit(FingerprintReport(fingerprint=probe))
         assert flaky.calls == FAST.max_attempts
 
-    def test_breaker_opens_and_fails_fast(self, service, probe):
+    def test_breaker_opens_and_fails_fast(self, service, probe, transports):
         flaky = FlakyApp(ServiceApp(service), failures=10 ** 6)
         with SecurityServiceHTTPServer(flaky) as server:
             transport = ResilientTransport(
-                HttpTransport(server.base_url),
+                transports(server.base_url),
                 policy=FAST,
                 clock=SystemClock(),
                 breaker=CircuitBreaker(failure_threshold=3, reset_timeout=3600.0),
@@ -171,11 +187,11 @@ class TestResilienceOverHttp:
         # Failing fast means no further requests reached the server.
         assert flaky.calls == calls_when_open
 
-    def test_fatal_statuses_do_not_retry(self, service, probe):
+    def test_fatal_statuses_do_not_retry(self, service, probe, transports):
         flaky = FlakyApp(ServiceApp(service), failures=10 ** 6, status=400)
         with SecurityServiceHTTPServer(flaky) as server:
             transport = ResilientTransport(
-                HttpTransport(server.base_url),
+                transports(server.base_url),
                 policy=FAST,
                 clock=SystemClock(),
             )
@@ -199,7 +215,7 @@ class RecordingApp:
 
 
 class TestBatchedSweepOverHttp:
-    def test_sweep_of_eight_is_one_request(self, service, small_registry):
+    def test_sweep_of_eight_is_one_request(self, service, small_registry, transports):
         fingerprints = [
             fp for label in small_registry.labels for fp in small_registry.fingerprints(label)[:2]
         ][:8]
@@ -210,7 +226,7 @@ class TestBatchedSweepOverHttp:
         recording = RecordingApp(ServiceApp(service))
         with SecurityServiceHTTPServer(recording) as server:
             transport = ResilientTransport(
-                HttpTransport(server.base_url, gateway_id="gw-sweep"), policy=FAST, clock=SystemClock()
+                transports(server.base_url, gateway_id="gw-sweep"), policy=FAST, clock=SystemClock()
             )
             gateway = SecurityGateway(transport, batch_profiling=True)
             directives = gateway.sentinel.process_batch(events, now=0.0)
@@ -436,6 +452,25 @@ class TestUnframedBodies:
         assert reply.startswith(b"HTTP/1.1 411")
         assert b"Connection: close" in reply
         assert reply.count(b"HTTP/1.1") == 1
+        assert recording.requests == []
+
+    def test_oversized_content_length_is_413_before_reading(self, served):
+        server, recording = served
+        # Only the head: a server that waited for the declared body would
+        # hold the connection (and a handler thread) until its idle timeout.
+        head = b"POST /v1/reports HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+        assert MAX_BODY_BYTES + 1 == 8388609
+        with socket.create_connection((server.host, server.port), timeout=2.0) as sock:
+            started = time.monotonic()
+            sock.sendall(head % (MAX_BODY_BYTES + 1))
+            chunks = []
+            while chunk := sock.recv(65536):  # times out unless the server closes
+                chunks.append(chunk)
+            elapsed = time.monotonic() - started
+        reply = b"".join(chunks)
+        assert reply.startswith(b"HTTP/1.1 413")
+        assert b"Connection: close" in reply
+        assert elapsed < 2.0
         assert recording.requests == []
 
     def test_valid_request_keeps_the_connection_open(self, served):

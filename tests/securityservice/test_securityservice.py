@@ -11,6 +11,7 @@ from repro.securityservice import (
     DirectTransport,
     FingerprintReport,
     IoTSecurityService,
+    ShardedSecurityService,
     VulnerabilityDatabase,
     VulnerabilityRecord,
     assess_device_type,
@@ -146,6 +147,29 @@ class TestService:
         probe = collect_fingerprints(profile_by_name("MAXGateway"), runs=1, rng=rng)[0]
         directive = service.handle_report(FingerprintReport(fingerprint=probe))
         assert directive.device_type == "MAXGateway"
+
+    @pytest.mark.parametrize("front", ["service", "sharded"])
+    def test_failed_enrolment_changes_nothing(self, front, small_registry, rng, monkeypatch):
+        if front == "service":
+            service = IoTSecurityService(random_state=3)
+        else:
+            service = ShardedSecurityService(2, random_state=3)
+        service.train(copy_registry(small_registry))
+        trainer = service._source().identifier if front == "sharded" else service.identifier
+        registry = service._registry
+
+        def failing_training(registry, label):
+            raise RuntimeError("training failed")
+
+        monkeypatch.setattr(trainer, "_train_type", failing_training)
+        types, snapshot = list(service.known_types), trainer.snapshot
+        new_fps = collect_fingerprints(profile_by_name("MAXGateway"), runs=5, rng=rng)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="training failed"):
+                service.enroll_type("MAXGateway", new_fps)
+        assert service._registry is registry
+        assert "MAXGateway" not in registry and registry.count("MAXGateway") == 0
+        assert service.known_types == types and trainer.snapshot is snapshot
 
     def test_retire_type(self, small_registry):
         service = IoTSecurityService(random_state=3)
