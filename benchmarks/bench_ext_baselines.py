@@ -68,7 +68,7 @@ def test_ext_baseline_comparison(corpus, benchmark):
 
         bank = DeviceIdentifier(random_state=1).fit(corpus_registry(corpus))
         start = time.perf_counter()
-        bank.add_type(grown, "Withings-2")
+        bank.add_type("Withings-2", extra)
         bank_add = time.perf_counter() - start
 
         multi = MulticlassIdentifier(features="sequence", random_state=1).fit(

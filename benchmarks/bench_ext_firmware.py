@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from conftest import write_result
 
-from repro.core import DeviceIdentifier, DeviceTypeRegistry
+from repro.core import DeviceIdentifier
 from repro.devices import apply_firmware_update, collect_fingerprints, profile_by_name
 from repro.reporting import render_table
 
@@ -23,20 +23,20 @@ UPDATED = ("SmarterCoffee", "iKettle2", "D-LinkCam")
 
 def test_ext_firmware_version_separability(corpus, benchmark):
     def run():
-        # Enrol the new versions into a local copy: the session corpus is
-        # shared with the other benches, which expect the 27 paper types.
-        registry = DeviceTypeRegistry()
-        registry.extend({label: corpus.fingerprints(label) for label in corpus.labels})
-        identifier = DeviceIdentifier(random_state=5).fit(registry)
+        # The identifier enrols into its own copy of the corpus, so the
+        # session corpus keeps the 27 paper types the other benches expect.
+        identifier = DeviceIdentifier(random_state=5).fit(corpus)
         rng = np.random.default_rng(77)
         rows = []
         for name in UPDATED:
             v2_profile = apply_firmware_update(profile_by_name(name))
-            registry.add_many(v2_profile.identifier, collect_fingerprints(v2_profile, runs=20, rng=rng))
-            identifier.add_type(registry, v2_profile.identifier)
-            # The old version's classifier is refreshed so it sees the new
+            identifier.add_type(
+                v2_profile.identifier, collect_fingerprints(v2_profile, runs=20, rng=rng)
+            )
+            # The old version's classifier is retrained so it sees the new
             # version among its negatives (a vendor patch rollout).
-            identifier.add_type(registry, name)
+            identifier.remove_type(name)
+            identifier.add_type(name, corpus.fingerprints(name))
             test_v2 = collect_fingerprints(v2_profile, runs=10, rng=rng)
             test_v1 = collect_fingerprints(profile_by_name(name), runs=10, rng=rng)
             v2_correct = sum(identifier.identify(fp).label == v2_profile.identifier for fp in test_v2)

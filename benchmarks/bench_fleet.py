@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from bench_ext_scalability import FINGERPRINTS_PER_TYPE, _build_registry
+from bench_ext_scalability import FINGERPRINTS_PER_TYPE, _build_registry, _grow
 from repro.core import DeviceIdentifier, ModelStore, warm_start_identifier
 from repro.ml.compiled import compile_forest
 
@@ -93,8 +93,7 @@ def run_benchmark(*, smoke: bool = False, repetitions: int = 3, seed: int = 3) -
     rows = []
     enrolled = 0
     for target in type_counts:
-        for t in range(enrolled, target):
-            identifier.add_type(registry, f"type{t:04d}")
+        _grow(identifier, registry, enrolled, target)
         enrolled = target
 
         interpreted = _interpreted_candidates(identifier, probes)
@@ -107,7 +106,7 @@ def run_benchmark(*, smoke: bool = False, repetitions: int = 3, seed: int = 3) -
         t_compile = time.perf_counter() - start
 
         # A fresh snapshot over the same models: its bank is not assembled yet.
-        identifier.adopt(identifier.snapshot.successor(models))
+        identifier.adopt(identifier.snapshot.successor(models), identifier.corpus)
         start = time.perf_counter()
         compiled = identifier.classify_batch(probes)  # includes bank assembly
         t_cold = time.perf_counter() - start

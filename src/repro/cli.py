@@ -548,15 +548,11 @@ def _serving_service(args: argparse.Namespace) -> IoTSecurityService | None:
         identifier = _loaded_identifier(args.model)
         if identifier is None:
             return None
-        registry = DeviceTypeRegistry()
         print(f"loaded model with {len(identifier.labels)} types from {args.model}")
     else:
-        registry = load_registry(args.corpus)
-        identifier = _trained_identifier(registry, args)
+        identifier = _trained_identifier(load_registry(args.corpus), args)
         print(f"trained {len(identifier.labels)} types from {args.corpus}")
-    service = IoTSecurityService(identifier=identifier)
-    service.adopt_model(registry, identifier.snapshot)
-    return service
+    return IoTSecurityService(identifier=identifier)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -52,7 +52,14 @@ from .fingerprint import (
     fixed_vector,
     intern_symbol,
 )
-from .identifier import UNKNOWN_DEVICE, DeviceIdentifier, IdentificationResult, ModelSnapshot
+from .identifier import (
+    UNKNOWN_DEVICE,
+    DeviceIdentifier,
+    DuplicateTypeError,
+    IdentificationResult,
+    ModelSnapshot,
+    NoCorpusError,
+)
 from .registry import DeviceTypeRegistry
 
 # Deterministic seeding helpers live in repro.ml.parallel (the
@@ -85,10 +92,12 @@ __all__ = [
     "DestinationCounter",
     "DeviceIdentifier",
     "DeviceTypeRegistry",
+    "DuplicateTypeError",
     "Fingerprint",
     "FingerprintExtractor",
     "IdentificationResult",
     "ModelSnapshot",
+    "NoCorpusError",
     "RateDropDetector",
     "SetupPhaseDetector",
     "damerau_levenshtein",

@@ -13,6 +13,8 @@ New types can be added (and retired) without retraining any other model —
 the paper's scalability argument for the one-classifier-per-type design.
 Each trained bank is one immutable :class:`ModelSnapshot`; enrolling or
 retiring a type builds the next snapshot, recompiling only that type.
+The identifier is the one owner of the model: it keeps a private copy of
+the corpus the snapshot was trained on, and changes both in one step.
 
 Instrumented with ``repro.obs``: the per-stage spans (``identify``,
 ``identify.classify[.bank]``, ``identify.discriminate``) mirror the
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -42,10 +45,20 @@ from .editdistance import dissimilarity_scores
 from .fingerprint import DEFAULT_FP_PACKETS, Fingerprint
 from .registry import DeviceTypeRegistry
 
-__all__ = ["UNKNOWN_DEVICE", "IdentificationResult", "ModelSnapshot", "DeviceIdentifier"]
+__all__ = ["UNKNOWN_DEVICE", "IdentificationResult", "ModelSnapshot", "DeviceIdentifier",
+           "DuplicateTypeError", "NoCorpusError"]
 
 #: Sentinel label returned when no classifier accepts a fingerprint.
 UNKNOWN_DEVICE = "unknown"
+
+
+class DuplicateTypeError(ValueError):
+    """Enrolment of a label the model already serves."""
+
+
+class NoCorpusError(RuntimeError):
+    """Enrolment asked of an identifier without a training corpus (a
+    model loaded from a file): a new type trains against the others."""
 
 
 @dataclass(frozen=True)
@@ -154,12 +167,14 @@ class DeviceIdentifier:
         consumes randomness at all.
 
     The trained bank is one immutable :class:`ModelSnapshot` held by a
-    single reference (:attr:`snapshot`).  :meth:`fit`, :meth:`add_type`
-    and :meth:`remove_type` build the next snapshot under one writer
-    lock and swap the reference; only a changed type is trained and
-    compiled.  :meth:`adopt` installs a snapshot built elsewhere (another
-    shard's identifier, a model file).  Readers take no lock:
-    :meth:`identify_batch` pins the snapshot it starts with, so both
+    single reference (:attr:`snapshot`), beside a private copy of the
+    corpus it was trained on (:attr:`corpus`).  :meth:`fit`,
+    :meth:`add_type` and :meth:`remove_type` each build the next snapshot
+    and corpus under one writer lock and swap both references; only a
+    changed type is trained and compiled.  :meth:`adopt` installs a
+    snapshot built elsewhere (a model file or store).  Readers take no
+    lock; they only wait while a type trains.  :meth:`identify_batch`
+    pins the snapshot it starts with, so both
     stages of one batch are answered by one version.  Stage 1 runs on
     the snapshot's :class:`~repro.ml.compiled.CompiledBank` — one flat
     node table for the whole bank, traversed with vectorized gathers and
@@ -189,7 +204,11 @@ class DeviceIdentifier:
         self._entropy = derive_entropy(random_state)
         self._writer = threading.Lock()
         self._snapshot = ModelSnapshot(0, {})
+        self._corpus = DeviceTypeRegistry()
         self._pin = threading.local()
+        #: Set unless a type is training; :meth:`identify_batch` waits on it.
+        self._idle = threading.Event()
+        self._idle.set()
 
     # --- training ---------------------------------------------------------
 
@@ -197,51 +216,87 @@ class DeviceIdentifier:
         """Train one classifier per type in the registry (from scratch).
 
         Each type trains from its own ``(seed, label)``-derived generator,
-        so every model equals the one :meth:`add_type` would train.
+        so every model equals the one :meth:`add_type` would train.  The
+        identifier keeps its own copy of ``registry``.
         """
         if len(registry) < 2:
             raise ValueError("need at least two device types to train")
+        corpus = registry.copy()
         with self._writer:
-            with obs_span(obs_names.SPAN_TRAIN_FIT, types=len(registry)):
-                models = {label: self._train_type(registry, label) for label in registry.labels}
+            with obs_span(obs_names.SPAN_TRAIN_FIT, types=len(corpus)):
+                models = {label: self._train_type(corpus, label) for label in corpus.labels}
             self._snapshot = self._snapshot.successor(models)
+            self._corpus = corpus
         return self
 
-    def add_type(self, registry: DeviceTypeRegistry, label: str) -> None:
-        """Train (or retrain) a single type without touching the others.
+    def add_type(self, label: str, fingerprints: Iterable[Fingerprint]) -> None:
+        """Enrol one new type without touching the others.
 
-        Produces the exact model :meth:`fit` would have produced for this
-        label given the same registry contents and seed.  Every other
-        type's model, compiled forest included, is carried over as is.
+        Trains ``label`` (the model :meth:`fit` would train) on a copy of
+        the corpus with ``fingerprints`` added, then publishes the next
+        snapshot and that corpus together; other types carry over as is.
+        The :class:`DuplicateTypeError` and :class:`NoCorpusError` checks
+        run under the writer lock too, so one label is enrolled once.
         """
         with self._writer:
-            model = self._train_type(registry, label)
+            if label in self._snapshot.models:
+                raise DuplicateTypeError(f"device type already enrolled: {label}")
+            if not len(self._corpus):
+                raise NoCorpusError(
+                    "no training corpus: this model was loaded without the "
+                    "corpus it was trained on, so it cannot train a new type"
+                )
+            corpus = self._corpus.with_added(label, fingerprints)
+            model = self._train_type(corpus, label)
             self._snapshot = self._snapshot.successor({**self._snapshot.models, label: model})
+            self._corpus = corpus
 
     def remove_type(self, label: str) -> None:
+        """Retire ``label`` from the model and from the corpus."""
         with self._writer:
             models = dict(self._snapshot.models)
             del models[label]
+            corpus = self._corpus.copy()
+            if label in corpus:  # a model loaded without its corpus has none
+                corpus.remove_type(label)
             self._snapshot = self._snapshot.successor(models)
+            self._corpus = corpus
 
-    def adopt(self, snapshot: ModelSnapshot) -> None:
-        """Serve ``snapshot`` from now on (published by another identifier
-        with the same hyper-parameters, or loaded from a model file)."""
+    def adopt(self, snapshot: ModelSnapshot, corpus: DeviceTypeRegistry | None = None) -> None:
+        """Serve ``snapshot`` (loaded from a model file or store), trained with
+        these hyper-parameters on ``corpus``; without one it cannot enrol."""
+        private = DeviceTypeRegistry() if corpus is None else corpus.copy()
         with self._writer:
             self._snapshot = snapshot
+            self._corpus = private
 
     @property
     def snapshot(self) -> ModelSnapshot:
         """The current model snapshot."""
         return self._snapshot
 
+    @property
+    def corpus(self) -> DeviceTypeRegistry:
+        """A copy of the corpus the current snapshot was trained on."""
+        return self._corpus.copy()
+
     def _reading(self) -> ModelSnapshot:
         """The snapshot this thread's batch is pinned to, else the current one."""
         pinned = getattr(self._pin, "snapshot", None)
         return self._snapshot if pinned is None else pinned
 
+    @contextmanager
+    def _training(self) -> Iterator[None]:
+        """Hold identification off while a type trains: under the GIL the
+        two would only share one interpreter, and enrolment would wait."""
+        self._idle.clear()
+        try:
+            yield
+        finally:
+            self._idle.set()
+
     def _train_type(self, registry: DeviceTypeRegistry, label: str) -> _TypeModel:
-        with obs_span(obs_names.SPAN_TRAIN_TYPE, label=label):
+        with obs_span(obs_names.SPAN_TRAIN_TYPE, label=label), self._training():
             rng = label_rng(self._entropy, label)
             positives = registry.positives_matrix(label, self.fp_length)
             negatives = registry.negatives_matrix(label, self.fp_length)
@@ -350,8 +405,10 @@ class DeviceIdentifier:
 
         Both stages read the snapshot current when the batch starts, so
         the whole batch is answered by one model version even while
-        another thread enrols or retires a type.
+        another thread enrols or retires a type.  A batch starts only
+        while no type is training.
         """
+        self._idle.wait()
         self._pin.snapshot = self._snapshot
         try:
             with obs_span(obs_names.SPAN_IDENTIFY, batch=len(fingerprints)) as span:

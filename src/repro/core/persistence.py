@@ -10,8 +10,10 @@ A trained identifier has one file format, an ``.npz`` payload
 (:func:`save_identifier` / :func:`load_identifier`): every type's
 compiled flat node arrays (see :mod:`repro.ml.compiled`), its reference
 fingerprints, the hyper-parameters and the training entropy.  A loaded
-identifier is the trained one: it identifies alike, and ``add_type`` on
-it trains the byte-identical forest.  :class:`ModelStore` keeps such
+identifier is the trained one: it identifies alike and, once given its
+corpus (``adopt(snapshot, corpus)``), ``add_type`` on it trains the
+byte-identical forest.  The file holds no corpus, so a model loaded
+without one identifies but cannot enrol.  :class:`ModelStore` keeps such
 payloads under a content hash over the training registry, the
 hyper-parameters and the entropy; :func:`warm_start_identifier` consults
 the store before training and skips retraining entirely on a hit —
@@ -363,14 +365,16 @@ def warm_start_identifier(
     Returns ``(identifier, cache_hit)``.  The content key covers the
     registry, the hyper-parameters, and the entropy derived from
     ``random_state``, so a hit is guaranteed to be the byte-identical
-    model a fresh ``fit`` would have produced (PR 1's determinism
-    invariant makes training a pure function of exactly those inputs).
+    model a fresh ``fit`` would have produced (the determinism invariant
+    makes training a pure function of exactly those inputs).  Either way
+    the identifier keeps a copy of ``registry``, so it can enrol.
     """
     entropy = derive_entropy(random_state)
     identifier = DeviceIdentifier(random_state=entropy, **hyper_params)
     key = registry_content_key(registry, entropy=entropy, **_identifier_params(identifier))
     cached = store.load(key)
     if cached is not None:
+        cached.adopt(cached.snapshot, registry)
         return cached, True
     identifier.fit(registry)
     store.save(identifier, key)

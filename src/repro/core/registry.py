@@ -37,14 +37,19 @@ class DeviceTypeRegistry:
         for label, fingerprints in corpus.items():
             self.add_many(label, fingerprints)
 
+    def copy(self) -> "DeviceTypeRegistry":
+        """An independent copy (the fingerprints themselves are immutable)."""
+        copy = DeviceTypeRegistry()
+        copy._store = {label: list(fps) for label, fps in self._store.items()}
+        return copy
+
     def with_added(self, label: str, fingerprints: Iterable[Fingerprint]) -> "DeviceTypeRegistry":
         """A copy of this registry with ``fingerprints`` added under ``label``.
 
         This registry is left as it is, so a caller can train on the copy
         and keep it only when training succeeds.
         """
-        copy = DeviceTypeRegistry()
-        copy._store = {other: list(fps) for other, fps in self._store.items()}
+        copy = self.copy()
         copy.add_many(label, fingerprints)
         return copy
 

@@ -20,7 +20,7 @@ from repro.securityservice.protocol import IsolationDirective, Transport
 
 from .audit import AuditEventType, AuditLog
 from .monitor import DeviceMonitor
-from .sentinel_module import SentinelModule, UserNotification
+from .sentinel_module import SentinelModule, UserNotification, install_enforcement
 from .wifi import WPSRegistrar
 
 __all__ = ["AttachedDevice", "SecurityGateway"]
@@ -213,21 +213,11 @@ class SecurityGateway:
         devices' isolation levels are a given and only the enforcement
         path is being measured.
         """
-        from repro.sdn.rules import EnforcementRule
-
         if mac not in self._devices:
             raise KeyError(f"{mac} is not attached")
         self.monitor.mark_profiled(mac)
         if self.filtering:
-            allowed = (
-                frozenset(permitted_endpoints)
-                if level is IsolationLevel.RESTRICTED
-                else frozenset()
-            )
-            self.rule_cache.insert(
-                EnforcementRule(device_mac=mac, level=level, permitted_ips=allowed)
-            )
-            self.overlays.assign(mac, level, allowed)
+            install_enforcement(self.rule_cache, self.overlays, mac, level, permitted_endpoints)
 
     @property
     def pending_report_count(self) -> int:

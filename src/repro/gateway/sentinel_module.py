@@ -33,7 +33,19 @@ from repro.securityservice.resilience import CircuitOpenError
 from .audit import AuditEventType, AuditLog
 from .monitor import DeviceMonitor, MonitorEvent
 
-__all__ = ["UserNotification", "PendingReport", "SentinelModule"]
+__all__ = ["UserNotification", "PendingReport", "SentinelModule", "install_enforcement"]
+
+
+def install_enforcement(
+    rule_cache: EnforcementRuleCache, overlays: OverlayManager, mac: str, level: IsolationLevel,
+    endpoints: frozenset[str] | set[str],
+) -> None:
+    """Enforce ``level`` for ``mac`` (rule cache + overlay); only a RESTRICTED
+    device keeps its allow-list of ``endpoints``."""
+    allowed = frozenset(endpoints) if level is IsolationLevel.RESTRICTED else frozenset()
+    rule_cache.insert(EnforcementRule(device_mac=mac, level=level, permitted_ips=allowed))
+    overlays.assign(mac, level, allowed)
+
 
 #: Priority band for enforcement rules (above the learning switch's 10).
 _ENFORCE_PRIORITY = 100
@@ -157,17 +169,7 @@ class SentinelModule(ControllerModule):
         """Install a directive's enforcement state (rule cache + overlay)."""
         self.directives[mac] = directive
         self._directive_times[mac] = now
-        rule = EnforcementRule(
-            device_mac=mac,
-            level=directive.level,
-            permitted_ips=(
-                directive.permitted_endpoints
-                if directive.level is IsolationLevel.RESTRICTED
-                else frozenset()
-            ),
-        )
-        self.rule_cache.insert(rule)
-        self.overlays.assign(mac, directive.level, rule.permitted_ips)
+        install_enforcement(self.rule_cache, self.overlays, mac, directive.level, directive.permitted_endpoints)
 
     def _accept_directive(self, mac: str, directive: IsolationDirective, now: float) -> None:
         """A real service response: enforce it, audit it, notify if STRICT."""
@@ -376,15 +378,7 @@ class SentinelModule(ControllerModule):
                 self.directives[mac] = fresh
                 continue
             self.directives[mac] = fresh
-            allowed = (
-                fresh.permitted_endpoints
-                if fresh.level is IsolationLevel.RESTRICTED
-                else frozenset()
-            )
-            self.rule_cache.insert(
-                EnforcementRule(device_mac=mac, level=fresh.level, permitted_ips=allowed)
-            )
-            self.overlays.assign(mac, fresh.level, allowed)
+            install_enforcement(self.rule_cache, self.overlays, mac, fresh.level, fresh.permitted_endpoints)
             self.audit.record(
                 now,
                 AuditEventType.DIRECTIVE_REFRESHED,

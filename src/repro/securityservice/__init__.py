@@ -35,7 +35,7 @@ from .resilience import (
     TransportFault,
     TransportTimeout,
 )
-from .service import IoTSecurityService, NoCorpusError
+from .service import DuplicateTypeError, IoTSecurityService, NoCorpusError
 from .sharding import DEFAULT_VNODES, HashRing, ShardedSecurityService
 from .vulndb import VulnerabilityDatabase, VulnerabilityRecord, seed_database
 
@@ -47,6 +47,7 @@ __all__ = [
     "CircuitOpenError",
     "DEFAULT_VNODES",
     "DirectTransport",
+    "DuplicateTypeError",
     "Fault",
     "FaultInjectingTransport",
     "FingerprintReport",

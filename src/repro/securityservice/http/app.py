@@ -14,10 +14,11 @@ Request processing order (each stage short-circuits):
 3. per-gateway token bucket (429 + ``Retry-After``, counted; batch
    submissions cost one token per report),
 4. body decode via :mod:`.wire` (400 with the parse error),
-5. the service call, serialized under one lock.  Identification alone
-   would not need it: each batch reads one immutable model snapshot.
-   The lock keeps the 409 duplicate-label check atomic with enrolment,
-   and the service's registry and report counter are not thread-safe.
+5. the service call, with no lock of the app's own: each batch reads
+   one immutable model snapshot (starting only while no type trains),
+   the identifier checks a duplicate label (409) atomically with
+   enrolment under its writer lock, and the service counts reports
+   under its own small lock.
 
 Every request runs inside a ``service.http.request`` span and increments
 ``service_http_requests_total`` labelled with the route pattern (not the
@@ -29,7 +30,6 @@ is labelled ``<unmatched>``, so a path scanner adds no label sets.
 from __future__ import annotations
 
 import json
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -40,7 +40,7 @@ from repro.obs import registry_to_prometheus
 from repro.obs import span as obs_span
 
 from ..protocol import IsolationDirective
-from ..service import IoTSecurityService, NoCorpusError
+from ..service import DuplicateTypeError, IoTSecurityService, NoCorpusError
 from .auth import ANONYMOUS_GATEWAY, ApiKeyRegistry
 from .ratelimit import GatewayRateLimiter
 from .wire import WireError, directive_to_dict, report_from_dict
@@ -109,7 +109,6 @@ class ServiceApp:
         self.service = service
         self.auth = auth if auth is not None else ApiKeyRegistry()
         self.limiter = limiter
-        self._lock = threading.Lock()
 
     # --- entry point --------------------------------------------------------
 
@@ -222,12 +221,11 @@ class ServiceApp:
     # --- routes -------------------------------------------------------------
 
     def _healthz(self) -> AppResponse:
-        with self._lock:
-            payload = {
-                "status": "ok",
-                "known_types": len(self.service.known_types),
-                "reports_handled": self.service.reports_handled,
-            }
+        payload = {
+            "status": "ok",
+            "known_types": len(self.service.known_types),
+            "reports_handled": self.service.reports_handled,
+        }
         return _json_response(200, payload)
 
     def _metrics(self) -> AppResponse:
@@ -245,8 +243,7 @@ class ServiceApp:
             return _error(400, str(exc))
 
         def run() -> AppResponse:
-            with self._lock:
-                directive = self.service.handle_report(report)
+            directive = self.service.handle_report(report)
             return _json_response(200, directive_to_dict(directive))
 
         # Parse before pricing: malformed bodies are 400s, never 429s.
@@ -264,8 +261,7 @@ class ServiceApp:
             return _error(400, str(exc))
 
         def run() -> AppResponse:
-            with self._lock:
-                directives = self.service.handle_reports(reports)
+            directives = self.service.handle_reports(reports)
             return _json_response(
                 200, {"directives": [directive_to_dict(d) for d in directives]}
             )
@@ -275,10 +271,9 @@ class ServiceApp:
         return self._rate_limited(gateway_id, float(max(1, len(reports))), run)
 
     def _directive(self, device_type: str) -> AppResponse:
-        with self._lock:
-            if device_type not in self.service.known_types:
-                return _error(404, f"unknown device type: {device_type}")
-            assessment = self.service.assess_type(device_type)
+        if device_type not in self.service.known_types:
+            return _error(404, f"unknown device type: {device_type}")
+        assessment = self.service.assess_type(device_type)
         directive = IsolationDirective(
             device_type=device_type,
             level=assessment.level,
@@ -288,9 +283,7 @@ class ServiceApp:
         return _json_response(200, directive_to_dict(directive))
 
     def _list_types(self) -> AppResponse:
-        with self._lock:
-            types = list(self.service.known_types)
-        return _json_response(200, {"types": types})
+        return _json_response(200, {"types": self.service.known_types})
 
     def _enroll(self, body: bytes) -> AppResponse:
         try:
@@ -308,12 +301,8 @@ class ServiceApp:
             ]
         except WireError as exc:
             return _error(400, str(exc))
-        with self._lock:
-            if label in self.service.known_types:
-                return _error(409, f"device type already enrolled: {label}")
-            try:
-                self.service.enroll_type(label, fingerprints)
-            except NoCorpusError as exc:
-                return _error(409, str(exc))
-            count = len(self.service.known_types)
-        return _json_response(201, {"label": label, "known_types": count})
+        try:
+            self.service.enroll_type(label, fingerprints)
+        except (DuplicateTypeError, NoCorpusError) as exc:
+            return _error(409, str(exc))
+        return _json_response(201, {"label": label, "known_types": len(self.service.known_types)})

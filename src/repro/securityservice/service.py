@@ -14,12 +14,13 @@ per isolation level — see ``docs/observability.md``.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from repro.core.fingerprint import Fingerprint
-from repro.core.identifier import DeviceIdentifier, ModelSnapshot
+from repro.core.identifier import DeviceIdentifier, DuplicateTypeError, NoCorpusError
 from repro.core.registry import DeviceTypeRegistry
 from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
@@ -30,20 +31,17 @@ from .incidents import IncidentAggregator, IncidentReport
 from .protocol import FingerprintReport, IsolationDirective
 from .vulndb import VulnerabilityDatabase, seed_database
 
-__all__ = ["IoTSecurityService", "NoCorpusError"]
-
-
-class NoCorpusError(RuntimeError):
-    """Enrolment asked of a service that holds no training corpus.
-
-    A new type's classifier trains against every other type's
-    fingerprints, so a service serving a model file loaded without its
-    corpus can identify but cannot enrol.
-    """
+__all__ = ["IoTSecurityService", "DuplicateTypeError", "NoCorpusError"]
 
 
 class IoTSecurityService:
-    """Device-type identification + vulnerability assessment service."""
+    """Device-type identification + vulnerability assessment service.
+
+    The model and the corpus it was trained on belong to the
+    :class:`~repro.core.identifier.DeviceIdentifier`, which changes both
+    in one locked step; the service holds no copy of either, so it is
+    safe to call from many threads at once.
+    """
 
     def __init__(
         self,
@@ -56,47 +54,29 @@ class IoTSecurityService:
         self.identifier = identifier or DeviceIdentifier(random_state=random_state)
         self.vulndb = vulndb if vulndb is not None else seed_database()
         self.endpoint_directory = dict(endpoint_directory or {})
-        self._registry = DeviceTypeRegistry()
         self.incidents = IncidentAggregator(vulndb=self.vulndb)
         self.reports_handled = 0
+        self._counting = threading.Lock()
 
     # --- training / enrollment --------------------------------------------
 
     def train(self, registry: DeviceTypeRegistry) -> None:
-        """Bulk-train from a labelled corpus (initial lab ground truth)."""
-        self._registry = registry
-        self.identifier.fit(registry)
+        """Bulk-train from a labelled corpus (initial lab ground truth).
 
-    def adopt_model(self, registry: DeviceTypeRegistry, snapshot: ModelSnapshot) -> None:
-        """Serve a model snapshot trained elsewhere on ``registry``.
-
-        Equivalent to :meth:`train` when ``snapshot`` was trained on
-        ``registry`` with this service's hyper-parameters and entropy —
-        the path the sharded front uses to load ModelStore warm starts
-        and to publish one enrolment's snapshot to every replica.
+        The identifier trains on its own copy of ``registry``.
         """
-        self._registry = registry
-        self.identifier.adopt(snapshot)
+        self.identifier.fit(registry)
 
     def enroll_type(self, label: str, fingerprints: Iterable[Fingerprint]) -> None:
         """Add one new device type incrementally (no global relearning).
 
-        Trains on a copy of the corpus and keeps it only once training
-        succeeded, so a failed enrolment leaves the corpus and the model
-        as they were.  Raises :class:`NoCorpusError` when there is no
-        corpus to train against.
+        Raises :class:`DuplicateTypeError` for a type already served and
+        :class:`NoCorpusError` when the model came without its corpus; a
+        failed enrolment leaves the corpus and the model as they were.
         """
-        if not len(self._registry):
-            raise NoCorpusError(
-                "no training corpus: this service serves a model without the "
-                "corpus it was trained on, so it cannot train a new type"
-            )
-        registry = self._registry.with_added(label, fingerprints)
-        self.identifier.add_type(registry, label)
-        self._registry = registry
+        self.identifier.add_type(label, fingerprints)
 
     def retire_type(self, label: str) -> None:
-        self._registry.remove_type(label)
         self.identifier.remove_type(label)
 
     @property
@@ -136,33 +116,26 @@ class IoTSecurityService:
         the service stores nothing about its clients (Sect. III-B).
         """
         with obs_span(obs_names.SPAN_SERVICE_BATCH, batch=len(reports)):
-            return self.directives_for(self.identify_reports(reports))
-
-    def identify_reports(self, reports: list[FingerprintReport]) -> list[str]:
-        """Device-type labels for a batch: one ``identify_batch`` pass,
-        answered by one model snapshot."""
-        results = self.identifier.identify_batch([report.fingerprint for report in reports])
-        return [result.label for result in results]
+            results = self.identifier.identify_batch([report.fingerprint for report in reports])
+            return self.directives_for([result.label for result in results])
 
     def directives_for(self, labels: list[str]) -> list[IsolationDirective]:
         """Serve identified reports: one directive per label, counted as handled."""
-        self.reports_handled += len(labels)
+        with self._counting:
+            self.reports_handled += len(labels)
         obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc(len(labels))
-        return [self._directive_for(label) for label in labels]
+        return [self.directive_for_type(label) for label in labels]
 
     def directive_for_type(self, device_type: str) -> IsolationDirective:
         """Issue a directive for an already-identified type (no classification).
 
         The cross-shard directive lookup: a gateway holding a verdict from
-        one shard can ask any replica for the current isolation policy.
+        one shard can ask any shard for the current isolation policy.
         """
-        return self._directive_for(device_type)
-
-    def _directive_for(self, label: str) -> IsolationDirective:
-        assessment = self.assess_type(label)
+        assessment = self.assess_type(device_type)
         obs_counter(obs_names.METRIC_DIRECTIVES, level=assessment.level.value).inc()
         return IsolationDirective(
-            device_type=label,
+            device_type=device_type,
             level=assessment.level,
             permitted_endpoints=assessment.permitted_endpoints,
             vulnerability_ids=assessment.vulnerability_ids,

@@ -10,23 +10,23 @@ routing tier:
   is salted per process and never used).  Adding or removing a shard moves
   only the keys on the arcs its virtual nodes own — bounded remapping,
   pinned by ``tests/securityservice/test_ring_properties.py``.
-* :class:`ShardedSecurityService` — N full service replicas behind one
-  front.  The model is replicated, not partitioned: ``train`` fits the
-  bank once (with a shared :class:`~repro.core.persistence.ModelStore`,
-  the other N-1 shards warm-start byte-identical banks from it), and
-  each enrolment or retirement trains or drops one type *once*, on one
-  shard's identifier, then publishes that same immutable
-  :class:`~repro.core.identifier.ModelSnapshot` object to every shard.
-  A shard joining later adopts the current snapshot.  Shards also share
-  one vulnerability database, so any replica can answer any directive
-  lookup; the ring spreads report load by device MAC.
-  A batch is identified once, in one two-stage pass over the source
-  shard's snapshot, so one model version answers the whole batch even
-  while an enrolment is being published; each shard then only turns its
-  reports' labels into directives (counting them and reading its own
-  endpoint directory), and the directives return in submission order.
-  That makes the N=1 front byte-identical to a bare service (pinned by
-  the differential test).
+* :class:`ShardedSecurityService` — N shards behind one front, all
+  serving one :class:`~repro.core.identifier.DeviceIdentifier`.  The
+  model is shared, not partitioned or copied: ``train`` fits the bank
+  once, and each enrolment or retirement trains or drops one type once,
+  on that identifier, which publishes the next immutable
+  :class:`~repro.core.identifier.ModelSnapshot` to every shard at once.
+  A shard joining later serves the same identifier; nothing is trained
+  or published.  Shards also share one vulnerability database, so any
+  shard can answer any directive lookup; the ring spreads report load by
+  device MAC.
+  A batch is identified once, in one two-stage pass over the current
+  snapshot, so one model version answers the whole batch even while an
+  enrolment is in flight; each shard then only turns its reports'
+  labels into directives (counting them and reading its own endpoint
+  directory), and the directives return in submission order.  That
+  makes the N=1 front byte-identical to a bare service (pinned by the
+  differential test).
 
 Shard **outage** (``kill_shard``) keeps ring membership — keys do not
 remap during a blip; routes to a dead shard raise
@@ -46,6 +46,7 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from repro.core.fingerprint import Fingerprint
+from repro.core.identifier import DeviceIdentifier
 from repro.core.persistence import ModelStore, warm_start_identifier
 from repro.core.registry import DeviceTypeRegistry
 from repro.ml.parallel import derive_entropy
@@ -159,18 +160,19 @@ class HashRing:
 
 
 class ShardedSecurityService:
-    """N ``IoTSecurityService`` replicas behind a consistent-hash front.
+    """N ``IoTSecurityService`` shards behind a consistent-hash front.
 
     The front mirrors the single-service surface (``handle_report``,
     ``handle_reports``, ``train``, ``enroll_type`` …) so gateways and
     transports are oblivious to sharding; ``DirectTransport(front)``
-    works unchanged.  Model state is one snapshot published to every
-    shard (replication); each batch is identified once on the source
-    shard's snapshot, and each report is served (counted, given its
-    directive) by the one shard its device MAC routes to (routing).
+    works unchanged.  Every shard serves the front's one
+    :attr:`identifier` (one model, one corpus); each batch is identified
+    once on its current snapshot, and each report is served (counted,
+    given its directive) by the one shard its device MAC routes to.
 
-    ``random_state`` is normalized to one entropy value up front, so all
-    shards train byte-identical banks even when a ``Generator`` is passed.
+    ``random_state`` is normalized to one entropy value up front, so a
+    warm start from the store loads the bank a fresh fit would train
+    even when a ``Generator`` is passed.
     """
 
     def __init__(
@@ -190,13 +192,14 @@ class ShardedSecurityService:
         self.vulndb = vulndb if vulndb is not None else seed_database()
         self._endpoint_directory = dict(endpoint_directory or {})
         self._entropy = derive_entropy(random_state)
+        #: The one model (and corpus) every shard serves.
+        self.identifier = DeviceIdentifier(random_state=self._entropy)
         self.ring = HashRing(vnodes=vnodes, seed=ring_seed)
         self.shards: dict[str, IoTSecurityService] = {}
-        #: The one corpus every shard trains on and serves.
-        self._registry = DeviceTypeRegistry()
         self._next_index = 0
         self._down: set[str] = set()
         #: Warm-start cache hits observed while training shards.
+        #: Warm-start cache hits: the store-backed ``train`` loads once per shard.
         self.cache_hits = 0
         for _ in range(num_shards):
             self.add_shard()
@@ -213,18 +216,15 @@ class ShardedSecurityService:
     def add_shard(self) -> str:
         """Join a new shard; only keys on its new arcs remap to it.
 
-        The new shard adopts the current model snapshot; nothing is trained.
+        The new shard serves the front's identifier; nothing is trained.
         """
         shard_id = f"shard-{self._next_index}"
         self._next_index += 1
-        shard = IoTSecurityService(
+        self.shards[shard_id] = IoTSecurityService(
+            identifier=self.identifier,
             vulndb=self.vulndb,
             endpoint_directory=self._endpoint_directory,
-            random_state=self._entropy,
         )
-        if self.shards:
-            shard.adopt_model(self._registry, self._source().identifier.snapshot)
-        self.shards[shard_id] = shard
         self.ring.add(shard_id)
         return shard_id
 
@@ -253,55 +253,34 @@ class ShardedSecurityService:
     def down_shards(self) -> frozenset[str]:
         return frozenset(self._down)
 
-    # --- training / enrollment (one model, published to every replica) ----
-
-    def _source(self) -> IoTSecurityService:
-        """The shard whose identifier trains enrolments and identifies
-        every batch for the whole front."""
-        return next(iter(self.shards.values()))
-
-    def _publish(self) -> None:
-        """Give every shard the source shard's snapshot (the same object)."""
-        snapshot = self._source().identifier.snapshot
-        for shard in self.shards.values():
-            shard.adopt_model(self._registry, snapshot)
+    # --- training / enrollment (one identifier, shared by every shard) ------
 
     def train(self, registry: DeviceTypeRegistry) -> None:
-        """Train the bank once and give it to every replica.
+        """Train the bank once; every shard serves it.
 
-        With a shared store the first shard fits and the other N-1 load
-        the byte-identical cached bank (``cache_hits == N-1``); without
-        one, the first shard fits and the others adopt its snapshot.
+        With a shared store each shard's turn warm-starts from it: the
+        first fits (or loads) the bank and the other N-1 load the
+        byte-identical cached one (``cache_hits == N-1``).  Each load is
+        adopted by the one identifier, so only the last stays live.
         """
-        self._registry = registry
         if self.store is None:
-            self._source().train(registry)
-            self._publish()
+            self.identifier.fit(registry)
             return
-        for shard in self.shards.values():
-            identifier, hit = warm_start_identifier(
-                registry, self.store, random_state=self._entropy
-            )
+        for _ in self.shards:
+            loaded, hit = warm_start_identifier(registry, self.store, random_state=self._entropy)
             self.cache_hits += int(hit)
-            shard.adopt_model(registry, identifier.snapshot)
+            self.identifier.adopt(loaded.snapshot, registry)
 
     def enroll_type(self, label: str, fingerprints: Iterable[Fingerprint]) -> None:
-        """Enroll one new type: train it once, publish it to every replica.
+        """Enroll one new type: trained once, served by every shard.
 
-        The type's forest is trained and compiled once, on the source
-        shard's identifier, against a copy of the corpus that replaces it
-        only once training succeeded; every shard then serves that same
-        snapshot and corpus.  No other type is retrained or recompiled.
+        See :meth:`~repro.core.identifier.DeviceIdentifier.add_type`; no
+        other type is retrained or recompiled.
         """
-        registry = self._registry.with_added(label, fingerprints)
-        self._source().identifier.add_type(registry, label)
-        self._registry = registry
-        self._publish()
+        self.identifier.add_type(label, fingerprints)
 
     def retire_type(self, label: str) -> None:
-        self._registry.remove_type(label)
-        self._source().identifier.remove_type(label)
-        self._publish()
+        self.identifier.remove_type(label)
 
     def register_endpoints(self, device_type: str, endpoints: Iterable[str]) -> None:
         batch = list(endpoints)
@@ -314,7 +293,7 @@ class ShardedSecurityService:
 
     @property
     def known_types(self) -> list[str]:
-        return self._source().known_types
+        return self.identifier.labels
 
     @property
     def reports_handled(self) -> int:
@@ -342,9 +321,9 @@ class ShardedSecurityService:
         ``ServiceUnavailable`` *before* any work — the gateway then
         bisects the batch, isolating the outage to the dead shard's
         devices without serving any report twice.  The whole batch is
-        identified in one pass over the source shard's current snapshot,
-        so one model version answers it; each shard's bucket then only
-        turns its labels into directives, in submission order.
+        identified in one pass over the current snapshot, so one model
+        version answers it; each shard's bucket then only turns its
+        labels into directives, in submission order.
         """
         with obs_span(obs_names.SPAN_SHARD_ROUTE, batch=len(reports)) as span:
             buckets: dict[str, list[int]] = {}
@@ -353,7 +332,8 @@ class ShardedSecurityService:
             for shard_id in buckets:
                 if shard_id in self._down:
                     raise ServiceUnavailable(f"shard {shard_id} is down")
-            labels = self._source().identify_reports(reports)
+            results = self.identifier.identify_batch([r.fingerprint for r in reports])
+            labels = [result.label for result in results]
             directives: list[IsolationDirective | None] = [None] * len(reports)
             for shard_id, indexes in buckets.items():
                 obs_counter(obs_names.METRIC_SHARD_REPORTS, shard=shard_id).inc(len(indexes))
@@ -367,7 +347,7 @@ class ShardedSecurityService:
         """Cross-shard directive lookup by type.
 
         Routes to the type's home shard for cache affinity, but any live
-        replica can answer (shared vulndb + fanned-out endpoint
+        shard can answer (shared vulndb + fanned-out endpoint
         directory), so a down home shard falls back to a surviving one.
         """
         shard_id = self.ring.route(device_type)
@@ -383,9 +363,9 @@ class ShardedSecurityService:
     def report_incident(self, report: IncidentReport):
         """Route incident reports by device type so one shard's aggregator
         sees the whole cluster; a confirmed record lands in the shared
-        vulndb and is instantly visible to every replica's assessments."""
+        vulndb and is instantly visible to every shard's assessments."""
         shard_id = self.ring.route(report.device_type)
         return self._live_shard(shard_id).report_incident(report)
 
     def assess_type(self, device_type: str):
-        return self._source().assess_type(device_type)
+        return next(iter(self.shards.values())).assess_type(device_type)

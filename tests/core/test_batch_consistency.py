@@ -90,6 +90,6 @@ class TestIdentifyBatchConsistency:
         identifier.remove_type(removed)
         after = identifier.identify_batch(mixed_batch)
         assert all(removed not in r.candidates for r in after)
-        identifier.add_type(small_registry, removed)
+        identifier.add_type(removed, small_registry.fingerprints(removed))
         restored = identifier.identify_batch(mixed_batch)
         assert [r.label for r in restored] == [r.label for r in before]

@@ -2,8 +2,8 @@
 
 ``DeviceIdentifier`` serves one immutable ``ModelSnapshot``; enrolling or
 retiring a type builds the next one and recompiles only that type, and
-the sharded front trains an enrolment once and publishes the same
-snapshot object to every shard.
+every shard of the sharded front serves the front's one identifier, so
+an enrolment is trained once and every shard serves the same snapshot.
 """
 
 from __future__ import annotations
@@ -14,19 +14,19 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import DeviceIdentifier, DeviceTypeRegistry
+from repro.core import DeviceIdentifier, DeviceTypeRegistry, ModelStore
 from repro.ml.compiled import CompiledBank, compile_forest
 from repro.obs import RecordingProvider, metrics_snapshot, names, use_provider
-from repro.securityservice import FingerprintReport, ShardedSecurityService
+from repro.securityservice import FingerprintReport, IoTSecurityService, ShardedSecurityService
 
 HELD_OUT = "Aria"
 BANK_TABLES = ("feature", "threshold", "left", "right", "leaf_positive", "tree_roots")
 
 
-def _copy(registry: DeviceTypeRegistry, *, without: str | None = None) -> DeviceTypeRegistry:
+def _copy(registry: DeviceTypeRegistry, *without: str) -> DeviceTypeRegistry:
     private = DeviceTypeRegistry()
     for label in registry.labels:
-        if label != without:
+        if label not in without:
             private.add_many(label, registry.fingerprints(label))
     return private
 
@@ -50,16 +50,14 @@ def _probes(registry: DeviceTypeRegistry) -> list:
 
 @pytest.fixture()
 def base(small_registry):
-    """A private registry without the held-out type, and an identifier on it."""
-    registry = _copy(small_registry, without=HELD_OUT)
-    return registry, DeviceIdentifier(random_state=11).fit(registry)
+    """An identifier trained on every type but the held-out one."""
+    return DeviceIdentifier(random_state=11).fit(_copy(small_registry, HELD_OUT))
 
 
 def test_add_type_compiles_only_the_new_type(small_registry, base):
-    registry, identifier = base
+    identifier = base
     before = identifier.snapshot
-    registry.add_many(HELD_OUT, small_registry.fingerprints(HELD_OUT))
-    identifier.add_type(registry, HELD_OUT)
+    identifier.add_type(HELD_OUT, small_registry.fingerprints(HELD_OUT))
     after = identifier.snapshot
     assert after is not before
     assert after.version == before.version + 1
@@ -72,7 +70,7 @@ def test_add_type_compiles_only_the_new_type(small_registry, base):
 
 
 def test_remove_type_builds_the_next_version(base):
-    _, identifier = base
+    identifier = base
     before = identifier.snapshot
     retired = before.labels[0]
     identifier.remove_type(retired)
@@ -87,10 +85,9 @@ def test_remove_type_builds_the_next_version(base):
 
 
 def test_snapshot_bank_equals_a_from_scratch_bank(small_registry, base):
-    registry, identifier = base
-    registry.add_many(HELD_OUT, small_registry.fingerprints(HELD_OUT))
-    identifier.add_type(registry, HELD_OUT)
-    identifier.remove_type(registry.labels[1])
+    identifier = base
+    identifier.add_type(HELD_OUT, small_registry.fingerprints(HELD_OUT))
+    identifier.remove_type(identifier.labels[1])
     snapshot = identifier.snapshot
     scratch = CompiledBank(
         [(label, compile_forest(model.classifier)) for label, model in snapshot.models.items()]
@@ -105,7 +102,7 @@ def test_snapshot_bank_equals_a_from_scratch_bank(small_registry, base):
 
 def _front(small_registry) -> ShardedSecurityService:
     front = ShardedSecurityService(4, random_state=11)
-    front.train(_copy(small_registry, without=HELD_OUT))
+    front.train(_copy(small_registry, HELD_OUT))
     return front
 
 
@@ -116,7 +113,7 @@ def _reports(registry: DeviceTypeRegistry) -> list[FingerprintReport]:
 def test_enroll_trains_once_and_publishes_one_snapshot(small_registry):
     front = _front(small_registry)
     before = {shard.identifier.snapshot for shard in front.shards.values()}
-    assert len(before) == 1  # without a store, train fits once and publishes too
+    assert len(before) == 1  # every shard serves the front's one identifier
     fingerprints = small_registry.fingerprints(HELD_OUT)
     assert _types_trained(lambda: front.enroll_type(HELD_OUT, fingerprints)) == 1
     after = {shard.identifier.snapshot for shard in front.shards.values()}
@@ -124,10 +121,8 @@ def test_enroll_trains_once_and_publishes_one_snapshot(small_registry):
     (snapshot,) = after
     assert HELD_OUT in snapshot.models and snapshot.version == before.pop().version + 1
     # Same verdicts as one identifier that trained and enrolled alike.
-    corpus = _copy(small_registry, without=HELD_OUT)
-    solo = DeviceIdentifier(random_state=11).fit(corpus)
-    corpus.add_many(HELD_OUT, fingerprints)
-    solo.add_type(corpus, HELD_OUT)
+    solo = DeviceIdentifier(random_state=11).fit(_copy(small_registry, HELD_OUT))
+    solo.add_type(HELD_OUT, fingerprints)
     reports = _reports(small_registry)
     assert [d.device_type for d in front.handle_reports(reports)] == [
         r.label for r in solo.identify_batch([r.fingerprint for r in reports])
@@ -155,15 +150,13 @@ def test_add_shard_adopts_the_current_snapshot(small_registry):
 
 def test_every_batch_is_answered_by_one_version(small_registry, base):
     """Concurrent enrol/retire never mixes two versions within one batch."""
-    registry, identifier = base
+    identifier = base
     fingerprints = small_registry.fingerprints(HELD_OUT)
     probes = _probes(small_registry)
     without = _verdicts(identifier.identify_batch(probes))
-    registry.add_many(HELD_OUT, fingerprints)
-    identifier.add_type(registry, HELD_OUT)
+    identifier.add_type(HELD_OUT, fingerprints)
     with_type = _verdicts(identifier.identify_batch(probes))
     identifier.remove_type(HELD_OUT)
-    registry.remove_type(HELD_OUT)
     assert without != with_type
     published = (without, with_type)
 
@@ -190,12 +183,10 @@ def test_every_batch_is_answered_by_one_version(small_registry, base):
         answered[version].wait(timeout=10.0)
 
     def enrol() -> None:
-        registry.add_many(HELD_OUT, fingerprints)
-        identifier.add_type(registry, HELD_OUT)
+        identifier.add_type(HELD_OUT, fingerprints)
 
     def retire() -> None:
         identifier.remove_type(HELD_OUT)
-        registry.remove_type(HELD_OUT)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -216,3 +207,57 @@ def test_every_batch_is_answered_by_one_version(small_registry, base):
     assert not any(thread.is_alive() for thread in readers)
     assert not failures, failures
     assert all(event.is_set() for event in answered)
+
+
+def test_store_backed_front_serves_one_identifier(small_registry, tmp_path):
+    """Each shard's warm start is adopted by the front's one identifier."""
+    front = ShardedSecurityService(4, store=ModelStore(tmp_path), random_state=11)
+    front.train(small_registry)
+    assert front.cache_hits == 3
+    assert len({id(shard.identifier) for shard in front.shards.values()}) == 1
+    assert len({id(shard.identifier.snapshot) for shard in front.shards.values()}) == 1
+    assert front.identifier.corpus.labels == small_registry.labels
+
+
+#: Two new types enrolled at once by two threads.
+RACING = (HELD_OUT, "HueBridge")
+
+
+@pytest.mark.parametrize("kind", ["service", "sharded"])
+def test_concurrent_enrolments_keep_both_types(small_registry, kind):
+    """Two threads enrol two new types at once, 20 times over: both types
+    end up in the served model and in the identifier's corpus each time."""
+    if kind == "service":
+        service = IoTSecurityService(random_state=11)
+    else:
+        service = ShardedSecurityService(4, random_state=11)
+    service.train(_copy(small_registry, *RACING))
+    base_labels = sorted(service.known_types)
+    failures: list[BaseException] = []
+
+    def enrol(barrier: threading.Barrier, label: str) -> None:
+        try:
+            barrier.wait(timeout=10.0)
+            service.enroll_type(label, small_registry.fingerprints(label))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for trial in range(20):
+            barrier = threading.Barrier(len(RACING))
+            threads = [threading.Thread(target=enrol, args=(barrier, label)) for label in RACING]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not failures, failures
+            expected = sorted(base_labels + list(RACING))
+            assert sorted(service.known_types) == expected, trial
+            assert service.identifier.corpus.labels == expected, trial
+            for label in RACING:
+                service.retire_type(label)
+    finally:
+        sys.setswitchinterval(interval)
+    assert service.identifier.corpus.labels == base_labels

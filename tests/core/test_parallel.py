@@ -73,7 +73,8 @@ class TestFitDeterminism:
         full = DeviceIdentifier(random_state=5).fit(registry)
         partial = DeviceIdentifier(random_state=5)
         partial.fit(registry)
-        partial.add_type(registry, "type2")  # retrain one type in place
+        partial.remove_type("type2")  # retrain one type in place
+        partial.add_type("type2", registry.fingerprints("type2"))
         assert _payload(partial, tmp_path / "a.npz") == _payload(full, tmp_path / "b.npz")
 
     def test_add_type_matches_fit(self, tmp_path):
@@ -81,7 +82,7 @@ class TestFitDeterminism:
         full = DeviceIdentifier(random_state=31).fit(registry)
         incremental = DeviceIdentifier(random_state=31).fit(registry)
         incremental.remove_type("type3")
-        incremental.add_type(registry, "type3")
+        incremental.add_type("type3", registry.fingerprints("type3"))
         assert _payload(incremental, tmp_path / "a.npz") == _payload(full, tmp_path / "b.npz")
 
 

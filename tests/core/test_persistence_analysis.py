@@ -118,10 +118,11 @@ class TestIdentifierSerialization:
         corpus = corpus_without(small_registry, "Aria")
         original = DeviceIdentifier(random_state=5, **NON_DEFAULT_PARAMS).fit(corpus)
         loads = [saved_and_loaded(original, tmp_path / f"model{i}.npz") for i in range(2)]
-        corpus.add_many("Aria", small_registry.fingerprints("Aria"))
+        for loaded in loads:
+            loaded.adopt(loaded.snapshot, corpus)  # the file holds no corpus
         payloads = []
         for i, identifier in enumerate([original, *loads]):
-            identifier.add_type(corpus, "Aria")
+            identifier.add_type("Aria", small_registry.fingerprints("Aria"))
             path = tmp_path / f"enrolled{i}.npz"
             save_identifier(identifier, path)
             payloads.append(path.read_bytes())

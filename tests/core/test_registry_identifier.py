@@ -10,7 +10,9 @@ from repro.core import (
     UNKNOWN_DEVICE,
     DeviceIdentifier,
     DeviceTypeRegistry,
+    DuplicateTypeError,
     Fingerprint,
+    NoCorpusError,
     NUM_FEATURES,
 )
 from repro.devices import collect_fingerprints, profile_by_name
@@ -106,13 +108,53 @@ class TestIdentifierTraining:
         registry = synthetic_registry()
         identifier = DeviceIdentifier(random_state=0).fit(registry)
         before = {label: identifier.snapshot.models[label].classifier for label in identifier.labels}
-        registry.add_many("type9", [synthetic_fp(9) for _ in range(8)])
-        identifier.add_type(registry, "type9")
+        identifier.add_type("type9", [synthetic_fp(9) for _ in range(8)])
         assert "type9" in identifier.labels
         # Existing classifiers are untouched objects (no retraining).
         for label, classifier in before.items():
             assert identifier.snapshot.models[label].classifier is classifier
         assert identifier.identify(synthetic_fp(9)).label == "type9"
+
+    def test_add_type_refuses_a_known_label_and_changes_nothing(self):
+        identifier = DeviceIdentifier(random_state=0).fit(synthetic_registry())
+        snapshot, count = identifier.snapshot, identifier.corpus.count("type1")
+        with pytest.raises(DuplicateTypeError, match="already enrolled: type1"):
+            identifier.add_type("type1", [synthetic_fp(1)])
+        assert identifier.snapshot is snapshot
+        assert identifier.corpus.count("type1") == count
+
+    def test_add_type_without_a_corpus_is_refused(self):
+        trained = DeviceIdentifier(random_state=0).fit(synthetic_registry())
+        served = DeviceIdentifier(random_state=0)
+        served.adopt(trained.snapshot)  # a model without its corpus
+        with pytest.raises(NoCorpusError):
+            served.add_type("type9", [synthetic_fp(9)])
+        assert served.snapshot is trained.snapshot
+
+    def test_identification_resumes_after_a_failed_training(self, monkeypatch):
+        # identify_batch waits while a type trains; a training that raises
+        # must not leave it waiting.
+        registry = synthetic_registry()
+        identifier = DeviceIdentifier(random_state=0).fit(registry)
+
+        def failing(classifier):
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr("repro.core.identifier.compile_forest", failing)
+        with pytest.raises(RuntimeError, match="compile failed"):
+            identifier.add_type("type9", [synthetic_fp(9) for _ in range(8)])
+        assert identifier._idle.is_set()
+        assert identifier.identify(registry.fingerprints("type0")[0]).label == "type0"
+
+    def test_corpus_is_a_private_copy(self):
+        registry = synthetic_registry()
+        identifier = DeviceIdentifier(random_state=0).fit(registry)
+        identifier.remove_type("type1")
+        identifier.add_type("type9", [synthetic_fp(9) for _ in range(8)])
+        assert "type1" in registry and "type9" not in registry
+        assert identifier.corpus.labels == identifier.labels
+        identifier.corpus.remove_type("type0")  # a copy: the model keeps its corpus
+        assert "type0" in identifier.corpus
 
     def test_remove_type(self):
         identifier = DeviceIdentifier(random_state=0).fit(synthetic_registry())

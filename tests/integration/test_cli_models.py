@@ -112,4 +112,4 @@ class TestServedEnrolment:
             assert "no training corpus" in response.json["error"]
         assert service.known_types == types
         assert service.identifier.snapshot is snapshot
-        assert service._registry.count(NEW_TYPE) == 0
+        assert len(service.identifier.corpus) == 0

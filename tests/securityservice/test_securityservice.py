@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import UNKNOWN_DEVICE
-from repro.core.registry import DeviceTypeRegistry
 from repro.devices import collect_fingerprints, profile_by_name
 from repro.sdn import IsolationLevel
 from repro.securityservice import (
@@ -17,16 +16,6 @@ from repro.securityservice import (
     assess_device_type,
     seed_database,
 )
-
-
-def copy_registry(registry):
-    """A private mutable copy: ``IoTSecurityService.train`` keeps the
-    registry by reference, so enroll/retire tests must not hand it the
-    session-scoped fixture."""
-    out = DeviceTypeRegistry()
-    for label in registry.labels:
-        out.add_many(label, registry.fingerprints(label))
-    return out
 
 
 class TestVulnDB:
@@ -140,7 +129,7 @@ class TestService:
 
     def test_enroll_new_type_incrementally(self, small_registry, rng):
         service = IoTSecurityService(random_state=3)
-        service.train(copy_registry(small_registry))
+        service.train(small_registry)
         new_fps = collect_fingerprints(profile_by_name("MAXGateway"), runs=10, rng=rng)
         service.enroll_type("MAXGateway", new_fps)
         assert "MAXGateway" in service.known_types
@@ -154,9 +143,8 @@ class TestService:
             service = IoTSecurityService(random_state=3)
         else:
             service = ShardedSecurityService(2, random_state=3)
-        service.train(copy_registry(small_registry))
-        trainer = service._source().identifier if front == "sharded" else service.identifier
-        registry = service._registry
+        service.train(small_registry)
+        trainer = service.identifier
 
         def failing_training(registry, label):
             raise RuntimeError("training failed")
@@ -167,12 +155,23 @@ class TestService:
         for _ in range(2):
             with pytest.raises(RuntimeError, match="training failed"):
                 service.enroll_type("MAXGateway", new_fps)
-        assert service._registry is registry
-        assert "MAXGateway" not in registry and registry.count("MAXGateway") == 0
+        corpus = trainer.corpus
+        assert corpus.labels == small_registry.labels and corpus.count("MAXGateway") == 0
         assert service.known_types == types and trainer.snapshot is snapshot
 
     def test_retire_type(self, small_registry):
         service = IoTSecurityService(random_state=3)
-        service.train(copy_registry(small_registry))
+        service.train(small_registry)
         service.retire_type("Aria")
         assert "Aria" not in service.known_types
+
+    @pytest.mark.parametrize("front", ["service", "sharded"])
+    def test_retire_leaves_the_callers_corpus_alone(self, front, small_registry):
+        if front == "service":
+            service = IoTSecurityService(random_state=3)
+        else:
+            service = ShardedSecurityService(2, random_state=3)
+        service.train(small_registry)
+        service.retire_type("Aria")
+        assert "Aria" in small_registry
+        assert "Aria" not in service.identifier.corpus

@@ -2,7 +2,8 @@
 
 Each test lints the *real* ``src`` tree with exactly one bug reintroduced
 in memory — the unlocked completion-buffer write, an unlocked model
-snapshot swap, the ad-hoc codec ``ValueError``, an unguarded boundary
+snapshot or corpus swap, an unlocked report count, the ad-hoc codec
+``ValueError``, an unguarded boundary
 call, an ad-hoc metric name — and asserts the matching checker fires.
 The shipped tree itself must stay clean (also enforced by
 ``test_regression_guard``).
@@ -18,6 +19,7 @@ from tools.sentinel_lint.runner import check_project_sources, discover_files
 REPO_ROOT = Path(__file__).resolve().parents[2]
 MONITOR_PATH = "src/repro/gateway/monitor.py"
 IDENTIFIER_PATH = "src/repro/core/identifier.py"
+SERVICE_PATH = "src/repro/securityservice/service.py"
 ICMP_PATH = "src/repro/packets/icmp.py"
 
 _TEXTS: dict[str, str] = {}
@@ -79,6 +81,24 @@ class TestSL007Reinjection:
         findings = lint_src("SL007", {IDENTIFIER_PATH: mutated})
         assert [f.code for f in findings] == ["SL007"]
         assert "_snapshot" in findings[0].message
+        assert "without holding the owning lock" in findings[0].message
+
+    def test_unlocked_corpus_swap_fires(self):
+        mutated = inject_into_method(
+            _real_text(IDENTIFIER_PATH), "remove_type", "self._corpus = self._corpus.copy()"
+        )
+        findings = lint_src("SL007", {IDENTIFIER_PATH: mutated})
+        assert [f.code for f in findings] == ["SL007"]
+        assert "_corpus" in findings[0].message
+        assert "without holding the owning lock" in findings[0].message
+
+    def test_unlocked_report_count_fires(self):
+        mutated = inject_into_method(
+            _real_text(SERVICE_PATH), "directives_for", "self.reports_handled += len(labels)"
+        )
+        findings = lint_src("SL007", {SERVICE_PATH: mutated})
+        assert [f.code for f in findings] == ["SL007"]
+        assert "reports_handled" in findings[0].message
         assert "without holding the owning lock" in findings[0].message
 
 

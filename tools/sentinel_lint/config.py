@@ -133,7 +133,7 @@ LAYERED_PACKAGE = "repro"
 #: checker also discovers mutations in functions reachable from thread
 #: entry points (``ThreadPoolExecutor.submit``/``Thread(target=...)``).
 THREAD_SHARED_STATE: dict[str, tuple[str, ...]] = {
-    "repro.core.identifier.DeviceIdentifier": ("_snapshot",),
+    "repro.core.identifier.DeviceIdentifier": ("_snapshot", "_corpus"),
     "repro.gateway.monitor.DeviceMonitor": ("_completed",),
     "repro.securityservice.resilience.CircuitBreaker": (
         "state",
@@ -144,6 +144,7 @@ THREAD_SHARED_STATE: dict[str, tuple[str, ...]] = {
     ),
     "repro.securityservice.http.client.HttpTransport": ("_idle",),
     "repro.securityservice.http.server._Server": ("_connections",),
+    "repro.securityservice.service.IoTSecurityService": ("reports_handled",),
 }
 
 #: Methods where unlocked writes are fine: the object is not shared yet.
