@@ -39,7 +39,6 @@ from repro.obs import names as obs_names
 from repro.obs import registry_to_prometheus
 from repro.obs import span as obs_span
 
-from ..protocol import IsolationDirective
 from ..service import DuplicateTypeError, IoTSecurityService, NoCorpusError
 from .auth import ANONYMOUS_GATEWAY, ApiKeyRegistry
 from .ratelimit import GatewayRateLimiter
@@ -273,13 +272,7 @@ class ServiceApp:
     def _directive(self, device_type: str) -> AppResponse:
         if device_type not in self.service.known_types:
             return _error(404, f"unknown device type: {device_type}")
-        assessment = self.service.assess_type(device_type)
-        directive = IsolationDirective(
-            device_type=device_type,
-            level=assessment.level,
-            permitted_endpoints=assessment.permitted_endpoints,
-            vulnerability_ids=assessment.vulnerability_ids,
-        )
+        directive = self.service.directive_for_type(device_type)
         return _json_response(200, directive_to_dict(directive))
 
     def _list_types(self) -> AppResponse:

@@ -6,10 +6,17 @@ operation the Security Gateway consumes: fingerprint in, isolation
 directive out.  New device types can be enrolled at runtime without
 retraining existing classifiers (the paper's scalability property).
 
+It also cross-correlates anonymous incident reports into vulnerability
+records (:class:`~repro.securityservice.incidents.IncidentAggregator`).
+The sharded front (:mod:`repro.securityservice.sharding`) holds exactly
+one instance behind its ring, so incident counts, record ids and the
+endpoint directory are never split across shards.
+
 Instrumented with ``repro.obs``: each :meth:`~IoTSecurityService.handle_reports`
 batch runs in a ``service.handle_reports`` span (a single report is a
-batch of one), with counters for reports handled and directives issued
-per isolation level — see ``docs/observability.md``.
+batch of one; under the sharded front it is the child of
+``service.shard.route``), with counters for reports handled and
+directives issued per isolation level — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -117,20 +124,16 @@ class IoTSecurityService:
         """
         with obs_span(obs_names.SPAN_SERVICE_BATCH, batch=len(reports)):
             results = self.identifier.identify_batch([report.fingerprint for report in reports])
-            return self.directives_for([result.label for result in results])
-
-    def directives_for(self, labels: list[str]) -> list[IsolationDirective]:
-        """Serve identified reports: one directive per label, counted as handled."""
-        with self._counting:
-            self.reports_handled += len(labels)
-        obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc(len(labels))
-        return [self.directive_for_type(label) for label in labels]
+            with self._counting:
+                self.reports_handled += len(results)
+            obs_counter(obs_names.METRIC_REPORTS_HANDLED).inc(len(results))
+            return [self.directive_for_type(result.label) for result in results]
 
     def directive_for_type(self, device_type: str) -> IsolationDirective:
         """Issue a directive for an already-identified type (no classification).
 
-        The cross-shard directive lookup: a gateway holding a verdict from
-        one shard can ask any shard for the current isolation policy.
+        Gateways refresh a device's policy this way (``GET
+        /v1/directive/{type}``) without sending its fingerprint again.
         """
         assessment = self.assess_type(device_type)
         obs_counter(obs_names.METRIC_DIRECTIVES, level=assessment.level.value).inc()

@@ -1,8 +1,10 @@
 """Consistent-hash sharding for the IoTSSP (the fleet-scale service tier).
 
-One :class:`~repro.securityservice.service.IoTSecurityService` instance
-serves one box; millions of devices need N of them.  This module adds the
-routing tier:
+The paper's IoTSSP is one service: it identifies every gateway's
+reports and cross-correlates their incident reports into vulnerability
+records (Sect. III-B).  This module puts that one
+:class:`~repro.securityservice.service.IoTSecurityService` behind a ring
+of shards, where a shard is a failure domain, not a replica:
 
 * :class:`HashRing` — a deterministic consistent-hash ring.  Virtual-node
   positions are derived from SHA-256 over ``(seed, shard id, vnode index)``
@@ -10,23 +12,16 @@ routing tier:
   is salted per process and never used).  Adding or removing a shard moves
   only the keys on the arcs its virtual nodes own — bounded remapping,
   pinned by ``tests/securityservice/test_ring_properties.py``.
-* :class:`ShardedSecurityService` — N shards behind one front, all
-  serving one :class:`~repro.core.identifier.DeviceIdentifier`.  The
-  model is shared, not partitioned or copied: ``train`` fits the bank
-  once, and each enrolment or retirement trains or drops one type once,
-  on that identifier, which publishes the next immutable
-  :class:`~repro.core.identifier.ModelSnapshot` to every shard at once.
-  A shard joining later serves the same identifier; nothing is trained
-  or published.  Shards also share one vulnerability database, so any
-  shard can answer any directive lookup; the ring spreads report load by
-  device MAC.
-  A batch is identified once, in one two-stage pass over the current
-  snapshot, so one model version answers the whole batch even while an
-  enrolment is in flight; each shard then only turns its reports'
-  labels into directives (counting them and reading its own endpoint
-  directory), and the directives return in submission order.  That
-  makes the N=1 front byte-identical to a bare service (pinned by the
-  differential test).
+* :class:`ShardedSecurityService` — the front.  It holds one service
+  (one identifier, one vulnerability database, one endpoint directory,
+  one incident aggregator) and N :class:`Shard` s, each a ring id, a
+  down flag and a report counter.  Reports route by device MAC and
+  incidents by device type; the route decides only which shard's
+  outage fails the call and which shard counts it.  A batch is served
+  by one ``service.handle_reports`` call, so one snapshot version
+  answers it even while an enrolment is in flight, and the N=1 front is
+  byte-identical to a bare service (pinned by the differential test).
+  A shard joining later trains, copies and publishes nothing.
 
 Shard **outage** (``kill_shard``) keeps ring membership — keys do not
 remap during a blip; routes to a dead shard raise
@@ -34,13 +29,15 @@ remap during a blip; routes to a dead shard raise
 gateway's resilience stack (pending queue + provisional quarantine)
 carries the affected devices until ``revive_shard``.  Shard
 **decommission** (``remove_shard``) takes it out of the ring and remaps
-only its keys.
+only its keys; the incident counts it saw stay with the one aggregator.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from bisect import bisect_right, insort
+from collections import Counter
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -54,13 +51,14 @@ from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
 from repro.obs import span as obs_span
 
+from .assessment import Assessment
 from .incidents import IncidentReport
 from .protocol import FingerprintReport, IsolationDirective
 from .resilience import ServiceUnavailable
 from .service import IoTSecurityService
-from .vulndb import VulnerabilityDatabase, seed_database
+from .vulndb import VulnerabilityDatabase
 
-__all__ = ["DEFAULT_VNODES", "HashRing", "ShardedSecurityService"]
+__all__ = ["DEFAULT_VNODES", "HashRing", "Shard", "ShardedSecurityService"]
 
 #: Virtual nodes per shard.  64 keeps worst-case load imbalance under
 #: ~1.35x the mean (property-tested) at negligible routing cost.
@@ -159,16 +157,40 @@ class HashRing:
         return self._points[index][1]
 
 
+class Shard:
+    """One failure domain on the ring: a down flag and a report counter.
+
+    A shard holds no model, vulnerability database or endpoint
+    directory; the front's one :class:`IoTSecurityService` serves every
+    report.  ``identifier`` is the front's one identifier, kept so that
+    callers reading it per shard see the model being served.
+    """
+
+    def __init__(self, shard_id: str, identifier: DeviceIdentifier) -> None:
+        self.shard_id = shard_id
+        self.identifier = identifier
+        self.down = False
+        self.reports_handled = 0
+        self._counting = threading.Lock()
+
+    def count(self, reports: int) -> None:
+        """Count ``reports`` served for keys this shard owns."""
+        with self._counting:
+            self.reports_handled += reports
+            obs_counter(obs_names.METRIC_SHARD_REPORTS, shard=self.shard_id).inc(reports)
+
+
 class ShardedSecurityService:
-    """N ``IoTSecurityService`` shards behind a consistent-hash front.
+    """One ``IoTSecurityService`` behind a consistent-hash ring of shards.
 
     The front mirrors the single-service surface (``handle_report``,
     ``handle_reports``, ``train``, ``enroll_type`` …) so gateways and
     transports are oblivious to sharding; ``DirectTransport(front)``
-    works unchanged.  Every shard serves the front's one
-    :attr:`identifier` (one model, one corpus); each batch is identified
-    once on its current snapshot, and each report is served (counted,
-    given its directive) by the one shard its device MAC routes to.
+    works unchanged.  :attr:`service` is the one service: it owns the
+    one :attr:`identifier` (model and corpus), the vulnerability
+    database, the endpoint directory and the incident aggregator.  The
+    ring decides which shard a report or an incident belongs to, and so
+    which outage fails it; each shard counts the reports it owns.
 
     ``random_state`` is normalized to one entropy value up front, so a
     warm start from the store loads the bank a fresh fit would train
@@ -189,16 +211,17 @@ class ShardedSecurityService:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.store = store
-        self.vulndb = vulndb if vulndb is not None else seed_database()
-        self._endpoint_directory = dict(endpoint_directory or {})
         self._entropy = derive_entropy(random_state)
-        #: The one model (and corpus) every shard serves.
-        self.identifier = DeviceIdentifier(random_state=self._entropy)
+        self.service = IoTSecurityService(
+            identifier=DeviceIdentifier(random_state=self._entropy),
+            vulndb=vulndb,
+            endpoint_directory=endpoint_directory,
+        )
+        #: The one model (and corpus) the service serves.
+        self.identifier = self.service.identifier
         self.ring = HashRing(vnodes=vnodes, seed=ring_seed)
-        self.shards: dict[str, IoTSecurityService] = {}
+        self.shards: dict[str, Shard] = {}
         self._next_index = 0
-        self._down: set[str] = set()
-        #: Warm-start cache hits observed while training shards.
         #: Warm-start cache hits: the store-backed ``train`` loads once per shard.
         self.cache_hits = 0
         for _ in range(num_shards):
@@ -216,50 +239,46 @@ class ShardedSecurityService:
     def add_shard(self) -> str:
         """Join a new shard; only keys on its new arcs remap to it.
 
-        The new shard serves the front's identifier; nothing is trained.
+        Nothing is trained or copied: the front's one service serves the
+        new shard's keys too.
         """
         shard_id = f"shard-{self._next_index}"
         self._next_index += 1
-        self.shards[shard_id] = IoTSecurityService(
-            identifier=self.identifier,
-            vulndb=self.vulndb,
-            endpoint_directory=self._endpoint_directory,
-        )
+        self.shards[shard_id] = Shard(shard_id, self.identifier)
         self.ring.add(shard_id)
         return shard_id
 
-    def remove_shard(self, shard_id: str) -> None:
-        """Decommission a shard; only its keys remap, to surviving shards."""
+    def _shard(self, shard_id: str) -> Shard:
         if shard_id not in self.shards:
             raise ValueError(f"unknown shard {shard_id!r}")
+        return self.shards[shard_id]
+
+    def remove_shard(self, shard_id: str) -> None:
+        """Decommission a shard; only its keys remap, to surviving shards."""
+        self._shard(shard_id)
         if len(self.shards) == 1:
             raise ValueError("cannot remove the last shard")
         self.ring.remove(shard_id)
         del self.shards[shard_id]
-        self._down.discard(shard_id)
 
     def kill_shard(self, shard_id: str) -> None:
         """Mark a shard down (outage, not decommission — no key remap)."""
-        if shard_id not in self.shards:
-            raise ValueError(f"unknown shard {shard_id!r}")
-        self._down.add(shard_id)
+        self._shard(shard_id).down = True
 
     def revive_shard(self, shard_id: str) -> None:
-        if shard_id not in self.shards:
-            raise ValueError(f"unknown shard {shard_id!r}")
-        self._down.discard(shard_id)
+        self._shard(shard_id).down = False
 
     @property
     def down_shards(self) -> frozenset[str]:
-        return frozenset(self._down)
+        return frozenset(shard_id for shard_id, shard in self.shards.items() if shard.down)
 
-    # --- training / enrollment (one identifier, shared by every shard) ------
+    # --- training / enrollment (one identifier, one service) ---------------
 
     def train(self, registry: DeviceTypeRegistry) -> None:
-        """Train the bank once; every shard serves it.
+        """Train the bank once; the one service serves it.
 
-        With a shared store each shard's turn warm-starts from it: the
-        first fits (or loads) the bank and the other N-1 load the
+        With a store, each shard's turn warm-starts from it: the first
+        fits (or loads) the bank and the other N-1 load the
         byte-identical cached one (``cache_hits == N-1``).  Each load is
         adopted by the one identifier, so only the last stays live.
         """
@@ -272,7 +291,7 @@ class ShardedSecurityService:
             self.identifier.adopt(loaded.snapshot, registry)
 
     def enroll_type(self, label: str, fingerprints: Iterable[Fingerprint]) -> None:
-        """Enroll one new type: trained once, served by every shard.
+        """Enroll one new type: trained once, served for every shard.
 
         See :meth:`~repro.core.identifier.DeviceIdentifier.add_type`; no
         other type is retrained or recompiled.
@@ -283,21 +302,19 @@ class ShardedSecurityService:
         self.identifier.remove_type(label)
 
     def register_endpoints(self, device_type: str, endpoints: Iterable[str]) -> None:
-        batch = list(endpoints)
-        # Keep the front's own copy current too: it seeds shards joining later.
-        current = set(self._endpoint_directory.get(device_type, frozenset()))
-        current.update(batch)
-        self._endpoint_directory[device_type] = frozenset(current)
-        for shard in self.shards.values():
-            shard.register_endpoints(device_type, batch)
+        self.service.register_endpoints(device_type, endpoints)
+
+    @property
+    def vulndb(self) -> VulnerabilityDatabase:
+        return self.service.vulndb
 
     @property
     def known_types(self) -> list[str]:
-        return self.identifier.labels
+        return self.service.known_types
 
     @property
     def reports_handled(self) -> int:
-        return sum(shard.reports_handled for shard in self.shards.values())
+        return self.service.reports_handled
 
     # --- routing -----------------------------------------------------------
 
@@ -305,67 +322,46 @@ class ShardedSecurityService:
     def _routing_key(report: FingerprintReport) -> str:
         return report.fingerprint.device_mac
 
-    def _live_shard(self, shard_id: str) -> IoTSecurityService:
-        if shard_id in self._down:
-            raise ServiceUnavailable(f"shard {shard_id} is down")
-        return self.shards[shard_id]
-
     def handle_report(self, report: FingerprintReport) -> IsolationDirective:
-        """Route one report to its owning shard and serve it there."""
+        """Route one report to its owning shard and serve it."""
         return self.handle_reports([report])[0]
 
     def handle_reports(self, reports: list[FingerprintReport]) -> list[IsolationDirective]:
-        """Identify a batch once, then serve each report on its shard.
+        """Serve a batch in one service call, counted on each report's shard.
 
         A route to a down shard fails the whole batch with
         ``ServiceUnavailable`` *before* any work — the gateway then
         bisects the batch, isolating the outage to the dead shard's
-        devices without serving any report twice.  The whole batch is
-        identified in one pass over the current snapshot, so one model
-        version answers it; each shard's bucket then only turns its
-        labels into directives, in submission order.
+        devices without serving any report twice.  Otherwise the one
+        service identifies the whole batch in one pass over the current
+        snapshot, so one model version answers it, and returns the
+        directives in submission order.
         """
         with obs_span(obs_names.SPAN_SHARD_ROUTE, batch=len(reports)) as span:
-            buckets: dict[str, list[int]] = {}
-            for index, report in enumerate(reports):
-                buckets.setdefault(self.ring.route(self._routing_key(report)), []).append(index)
-            for shard_id in buckets:
-                if shard_id in self._down:
+            owners = Counter(self.ring.route(self._routing_key(report)) for report in reports)
+            for shard_id in owners:
+                if self.shards[shard_id].down:
                     raise ServiceUnavailable(f"shard {shard_id} is down")
-            results = self.identifier.identify_batch([r.fingerprint for r in reports])
-            labels = [result.label for result in results]
-            directives: list[IsolationDirective | None] = [None] * len(reports)
-            for shard_id, indexes in buckets.items():
-                obs_counter(obs_names.METRIC_SHARD_REPORTS, shard=shard_id).inc(len(indexes))
-                shard_out = self.shards[shard_id].directives_for([labels[i] for i in indexes])
-                for i, directive in zip(indexes, shard_out):
-                    directives[i] = directive
-            span.set(shards=len(buckets))
-            return directives  # type: ignore[return-value]
+            directives = self.service.handle_reports(reports)
+            for shard_id, count in owners.items():
+                self.shards[shard_id].count(count)
+            span.set(shards=len(owners))
+            return directives
 
     def directive_for_type(self, device_type: str) -> IsolationDirective:
-        """Cross-shard directive lookup by type.
-
-        Routes to the type's home shard for cache affinity, but any live
-        shard can answer (shared vulndb + fanned-out endpoint
-        directory), so a down home shard falls back to a surviving one.
-        """
-        shard_id = self.ring.route(device_type)
-        if shard_id in self._down:
-            for candidate in self.ring.shard_ids():
-                if candidate not in self._down:
-                    shard_id = candidate
-                    break
-            else:
-                raise ServiceUnavailable("all shards are down")
-        return self.shards[shard_id].directive_for_type(device_type)
+        """Directive lookup by type: any live shard can answer it."""
+        if all(shard.down for shard in self.shards.values()):
+            raise ServiceUnavailable("all shards are down")
+        return self.service.directive_for_type(device_type)
 
     def report_incident(self, report: IncidentReport):
-        """Route incident reports by device type so one shard's aggregator
-        sees the whole cluster; a confirmed record lands in the shared
-        vulndb and is instantly visible to every shard's assessments."""
+        """Submit an incident to the one aggregator, unless the type's home
+        shard is down.  A confirmed record lands in the service's vulndb
+        and changes every later directive for the type."""
         shard_id = self.ring.route(report.device_type)
-        return self._live_shard(shard_id).report_incident(report)
+        if self.shards[shard_id].down:
+            raise ServiceUnavailable(f"shard {shard_id} is down")
+        return self.service.report_incident(report)
 
-    def assess_type(self, device_type: str):
-        return next(iter(self.shards.values())).assess_type(device_type)
+    def assess_type(self, device_type: str) -> Assessment:
+        return self.service.assess_type(device_type)

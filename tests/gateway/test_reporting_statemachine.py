@@ -84,9 +84,7 @@ class ReportingLifecycle(RuleBasedStateMachine):
         # shards up and a fresh vulnerability database.
         for shard_id in front.shard_ids():
             front.revive_shard(shard_id)
-        front.vulndb = seed_database()
-        for shard in front.shards.values():
-            shard.vulndb = front.vulndb
+        front.service.vulndb = front.service.incidents.vulndb = seed_database()
         self.front = front
         self.profiles = profiles
         self.disclosures = 0

@@ -125,6 +125,18 @@ class TestAdmin:
         directive = directive_from_dict(response.json)
         assert directive.device_type == "Aria"
 
+    def test_directive_lookup_counts_one_directive(self, app, service):
+        """``GET /v1/directive/{type}`` is the in-process lookup, metrics included."""
+        with use_provider(RecordingProvider()) as provider:
+            response = app.handle("GET", "/v1/directive/Aria", {}, b"")
+            snapshot = metrics_snapshot(provider.metrics)
+        directive = directive_from_dict(response.json)
+        assert directive == service.directive_for_type("Aria")
+        samples = snapshot["service_directives_total"]["samples"]
+        assert [(s["labels"], s["value"]) for s in samples] == [
+            ({"level": directive.level.value}, 1.0)
+        ]
+
     def test_directive_for_unknown_type_404(self, app):
         response = app.handle("GET", "/v1/directive/Toaster9000", {}, b"")
         assert response.status == 404

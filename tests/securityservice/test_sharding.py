@@ -236,12 +236,12 @@ class TestOnePassPerBatch:
         assert {s["labels"]["shard"]: s["value"] for s in routed} == {
             shard_id: owners.count(shard_id) for shard_id in set(owners)
         }
-        # One identification under the route span; no per-shard service round trip.
+        # One service round trip under the route span, one identification in it.
         (route,) = provider.tracer.records_named(names.SPAN_SHARD_ROUTE)
+        (served,) = provider.tracer.records_named(names.SPAN_SERVICE_BATCH)
         (identify,) = provider.tracer.records_named(names.SPAN_IDENTIFY)
-        assert identify.parent_id == route.span_id
+        assert served.parent_id == route.span_id and identify.parent_id == served.span_id
         assert route.attributes == {"batch": len(reports), "shards": 4}
-        assert provider.tracer.records_named(names.SPAN_SERVICE_BATCH) == []
 
     def test_every_front_batch_is_answered_by_one_version(self, small_registry, monkeypatch):
         """An admin thread enrols and retires a type while readers call the
@@ -344,14 +344,15 @@ class TestShardedService:
         return FingerprintReport(fingerprint=fingerprint)
 
     def test_replicas_agree_regardless_of_route(self, front, small_registry):
-        """The same fingerprint gets the same verdict on every shard."""
-        verdicts = set()
+        """The same fingerprint gets the same directive whichever shard owns its MAC."""
+        directives = set()
         shards_hit = set()
         for index in range(24):
             report = self._report(small_registry, "Aria", _mac(index))
             shards_hit.add(front.ring.route(report.fingerprint.device_mac))
-            verdicts.add(front.handle_report(report).device_type)
-        assert verdicts == {"Aria"}
+            directives.add(front.handle_report(report))
+        assert {directive.device_type for directive in directives} == {"Aria"}
+        assert len(directives) == 1
         assert len(shards_hit) > 1  # the MACs really did spread across shards
 
     def test_routing_increments_owning_shard(self, front, small_registry):
@@ -434,8 +435,8 @@ class TestShardedService:
         assert front.num_shards == 2 and new_id not in front.ring
         assert [d.device_type for d in front.handle_reports(reports)] == baseline
 
-    def test_incidents_route_and_confirm_fleet_wide(self, front):
-        """Threshold reports for one type confirm once; every replica sees it."""
+    def test_incidents_route_and_confirm_fleet_wide(self, front, small_registry):
+        """Threshold reports for one type confirm once; every shard's devices see it."""
         before = front.directive_for_type("Aria")
         assert before.level is IsolationLevel.TRUSTED
         record = None
@@ -444,8 +445,9 @@ class TestShardedService:
                 IncidentReport(device_type="Aria", incident_class="malware-traffic")
             ) or record
         assert record is not None and record.device_type == "Aria"
-        for shard in front.shards.values():
-            assert shard.directive_for_type("Aria").level is IsolationLevel.RESTRICTED
+        reports = [self._report(small_registry, "Aria", _mac(500 + i)) for i in range(24)]
+        assert {front.ring.route(r.fingerprint.device_mac) for r in reports} == set(front.shards)
+        assert {d.level for d in front.handle_reports(reports)} == {IsolationLevel.RESTRICTED}
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -479,5 +481,50 @@ class TestShardedService:
         front.train(small_registry)
         front.register_endpoints("TP-LinkPlugHS110", ["52.2.2.2"])
         new_id = front.add_shard()
-        directive = front.shards[new_id].directive_for_type("TP-LinkPlugHS110")
+        for shard_id in front.shard_ids():
+            if shard_id != new_id:
+                front.kill_shard(shard_id)
+        directive = front.directive_for_type("TP-LinkPlugHS110")
         assert directive.permitted_endpoints == frozenset({"52.2.2.2"})
+
+
+class TestOneIncidentAggregator:
+    """Incident reports reach the front's one aggregator, whatever their route."""
+
+    @staticmethod
+    def _malware(device_type: str) -> IncidentReport:
+        return IncidentReport(device_type=device_type, incident_class="malware-traffic")
+
+    def test_clusters_on_different_home_shards_get_distinct_ids(self):
+        front = ShardedSecurityService(4, random_state=11)
+        assert front.ring.route("Aria") != front.ring.route("HueBridge")
+        records = [
+            front.report_incident(self._malware(device_type))
+            for device_type in ("Aria",) * 3 + ("HueBridge",) * 3
+        ]
+        confirmed = [record for record in records if record is not None]
+        assert [(r.device_type, r.vuln_id) for r in confirmed] == [
+            ("Aria", "REPRO-CROWD-0001"),
+            ("HueBridge", "REPRO-CROWD-0002"),
+        ]
+        assert front.assess_type("HueBridge").vulnerability_ids == ("REPRO-CROWD-0002",)
+
+    def test_partial_counts_survive_removing_the_home_shard(self):
+        front = ShardedSecurityService(4, random_state=11)
+        assert front.report_incident(self._malware("Aria")) is None
+        assert front.report_incident(self._malware("Aria")) is None
+        home = front.ring.route("Aria")
+        front.remove_shard(home)
+        assert front.ring.route("Aria") != home
+        record = front.report_incident(self._malware("Aria"))
+        assert record is not None and record.device_type == "Aria"
+
+    def test_incident_for_a_down_home_shard_is_refused_and_not_counted(self):
+        front = ShardedSecurityService(4, random_state=11)
+        home = front.ring.route("Aria")
+        front.kill_shard(home)
+        with pytest.raises(ServiceUnavailable):
+            front.report_incident(self._malware("Aria"))
+        front.revive_shard(home)
+        assert front.service.incidents.count("Aria", "malware-traffic") == 0
+        assert front.service.incidents.reports_received == 0

@@ -2,7 +2,7 @@
 
 Each test lints the *real* ``src`` tree with exactly one bug reintroduced
 in memory — the unlocked completion-buffer write, an unlocked model
-snapshot or corpus swap, an unlocked report count, the ad-hoc codec
+snapshot or corpus swap, an unlocked service or shard report count, the ad-hoc codec
 ``ValueError``, an unguarded boundary
 call, an ad-hoc metric name — and asserts the matching checker fires.
 The shipped tree itself must stay clean (also enforced by
@@ -20,6 +20,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 MONITOR_PATH = "src/repro/gateway/monitor.py"
 IDENTIFIER_PATH = "src/repro/core/identifier.py"
 SERVICE_PATH = "src/repro/securityservice/service.py"
+SHARDING_PATH = "src/repro/securityservice/sharding.py"
 ICMP_PATH = "src/repro/packets/icmp.py"
 
 _TEXTS: dict[str, str] = {}
@@ -94,11 +95,20 @@ class TestSL007Reinjection:
 
     def test_unlocked_report_count_fires(self):
         mutated = inject_into_method(
-            _real_text(SERVICE_PATH), "directives_for", "self.reports_handled += len(labels)"
+            _real_text(SERVICE_PATH), "handle_reports", "self.reports_handled += len(reports)"
         )
         findings = lint_src("SL007", {SERVICE_PATH: mutated})
         assert [f.code for f in findings] == ["SL007"]
         assert "reports_handled" in findings[0].message
+        assert "without holding the owning lock" in findings[0].message
+
+    def test_unlocked_shard_report_count_fires(self):
+        mutated = inject_into_method(
+            _real_text(SHARDING_PATH), "count", "self.reports_handled += reports"
+        )
+        findings = lint_src("SL007", {SHARDING_PATH: mutated})
+        assert [f.code for f in findings] == ["SL007"]
+        assert "Shard.count" in findings[0].message and "reports_handled" in findings[0].message
         assert "without holding the owning lock" in findings[0].message
 
 

@@ -145,6 +145,7 @@ THREAD_SHARED_STATE: dict[str, tuple[str, ...]] = {
     "repro.securityservice.http.client.HttpTransport": ("_idle",),
     "repro.securityservice.http.server._Server": ("_connections",),
     "repro.securityservice.service.IoTSecurityService": ("reports_handled",),
+    "repro.securityservice.sharding.Shard": ("reports_handled",),
 }
 
 #: Methods where unlocked writes are fine: the object is not shared yet.
