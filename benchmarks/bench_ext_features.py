@@ -1,6 +1,6 @@
 """Extension — which Table-I features carry the identification signal.
 
-Aggregates Gini feature importance across all 27 per-type classifiers.
+Aggregates split-count feature importance across all 27 per-type classifiers.
 Confirms the design story of Sect. IV-A: behavioural structure — packet
 sizes, destination ordering, port classes, protocol mix — does the work,
 and no single protocol flag dominates (which is why the approach survives

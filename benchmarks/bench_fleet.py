@@ -5,7 +5,10 @@ Measures ``DeviceIdentifier.classify_batch`` (the
 stage-1 path) over a fixed probe batch at classifier-bank populations of
 27 (the paper's device count), 100 and 1000 types, against an
 interpreted reference that calls each type's
-``RandomForestClassifier.predict_proba`` in turn.  Candidate sets must
+``RandomForestClassifier.predict_proba`` in turn.  A trained model keeps
+only its compiled forests, so the reference forests are the ones
+training fitted, recorded by ``tests.oracles.record_forests`` while the
+population grows.  Candidate sets must
 agree exactly — the bank is byte-identical ``predict_proba`` by
 construction, so any disagreement fails the run before a single timing
 is reported.
@@ -14,7 +17,7 @@ The *cold* column is the first batch on a fresh
 :class:`~repro.core.identifier.ModelSnapshot`: it includes assembling
 the bank by concatenating the per-type compiled forests.  Each forest
 is compiled once, when its type is trained; that per-type compile cost
-is reported on its own line.
+(of the recorded forests) is reported on its own line.
 
 Also times the warm-start model store: a cold ``fit`` against
 ``warm_start_identifier`` hitting a content-hash cache entry.
@@ -31,6 +34,7 @@ skips the results file and the speedup floor — CI's correctness gate.
 from __future__ import annotations
 
 import argparse
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -41,6 +45,10 @@ from repro.core import DeviceIdentifier, ModelStore, warm_start_identifier
 from repro.ml.compiled import compile_forest
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+# The repository root, for the fitted-forest recorder in ``tests.oracles``.
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
+
+from tests.oracles import FittedForests, record_forests  # noqa: E402
 
 TYPE_COUNTS = (27, 100, 1000)
 PROBE_BATCH = 100
@@ -59,12 +67,14 @@ def _probe_batch(registry, rng: np.random.Generator):
     ]
 
 
-def _interpreted_candidates(identifier: DeviceIdentifier, probes) -> list[list[str]]:
-    """Stage 1 from each type's forest in turn, in sorted label order."""
+def _interpreted_candidates(
+    identifier: DeviceIdentifier, probes, forests: FittedForests
+) -> list[list[str]]:
+    """Stage 1 from each type's fitted forest in turn, in sorted label order."""
     stacked = np.vstack([fp.fixed(identifier.fp_length) for fp in probes])
     candidates: list[list[str]] = [[] for _ in probes]
     for label in identifier.labels:
-        forest = identifier.snapshot.models[label].classifier
+        forest = forests[identifier.snapshot.models[label].compiled]
         classes = list(forest.classes_)
         if True not in classes:
             continue
@@ -92,40 +102,44 @@ def run_benchmark(*, smoke: bool = False, repetitions: int = 3, seed: int = 3) -
 
     rows = []
     enrolled = 0
-    for target in type_counts:
-        _grow(identifier, registry, enrolled, target)
-        enrolled = target
+    with record_forests() as forests:
+        for target in type_counts:
+            _grow(identifier, registry, enrolled, target)
+            enrolled = target
 
-        interpreted = _interpreted_candidates(identifier, probes)
-        t_interp = _best_of(repetitions, lambda: _interpreted_candidates(identifier, probes))
-
-        models = identifier.snapshot.models
-        start = time.perf_counter()
-        for model in models.values():
-            compile_forest(model.classifier)
-        t_compile = time.perf_counter() - start
-
-        # A fresh snapshot over the same models: its bank is not assembled yet.
-        identifier.adopt(identifier.snapshot.successor(models), identifier.corpus)
-        start = time.perf_counter()
-        compiled = identifier.classify_batch(probes)  # includes bank assembly
-        t_cold = time.perf_counter() - start
-        t_warm = _best_of(repetitions, lambda: identifier.classify_batch(probes))
-
-        if compiled != interpreted:
-            raise AssertionError(
-                f"compiled bank disagrees with interpreted forests at {target} types"
+            interpreted = _interpreted_candidates(identifier, probes, forests)
+            t_interp = _best_of(
+                repetitions, lambda: _interpreted_candidates(identifier, probes, forests)
             )
-        rows.append(
-            {
-                "types": target,
-                "interp_s": t_interp,
-                "compile_s": t_compile,
-                "cold_s": t_cold,
-                "warm_s": t_warm,
-                "speedup": t_interp / t_warm,
-            }
-        )
+
+            models = identifier.snapshot.models
+            fitted = [forests[model.compiled] for model in models.values()]
+            start = time.perf_counter()
+            for forest in fitted:
+                compile_forest(forest)
+            t_compile = time.perf_counter() - start
+
+            # A fresh snapshot over the same models: its bank is not assembled yet.
+            identifier.adopt(identifier.snapshot.successor(models), identifier.corpus)
+            start = time.perf_counter()
+            compiled = identifier.classify_batch(probes)  # includes bank assembly
+            t_cold = time.perf_counter() - start
+            t_warm = _best_of(repetitions, lambda: identifier.classify_batch(probes))
+
+            if compiled != interpreted:
+                raise AssertionError(
+                    f"compiled bank disagrees with interpreted forests at {target} types"
+                )
+            rows.append(
+                {
+                    "types": target,
+                    "interp_s": t_interp,
+                    "compile_s": t_compile,
+                    "cold_s": t_cold,
+                    "warm_s": t_warm,
+                    "speedup": t_interp / t_warm,
+                }
+            )
 
     # Warm-start model store: cold fit vs. content-hash cache hit.
     small = _build_registry(type_counts[0], np.random.default_rng(seed + 1))

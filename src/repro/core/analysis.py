@@ -43,9 +43,7 @@ def classifier_feature_importance(
     model = identifier.snapshot.models.get(label)
     if model is None:
         raise KeyError(label)
-    flat = forest_feature_importance(
-        model.classifier, identifier.fp_length * NUM_FEATURES
-    )
+    flat = forest_feature_importance(model.compiled, identifier.fp_length * NUM_FEATURES)
     by_feature = {name: 0.0 for name in FEATURE_NAMES}
     for index, value in enumerate(flat):
         by_feature[FEATURE_NAMES[index % NUM_FEATURES]] += float(value)

@@ -77,10 +77,13 @@ class IdentificationResult:
 
 @dataclass(frozen=True, eq=False)
 class _TypeModel:
-    """One trained type: its forest, the forest compiled, its references."""
+    """One trained type: its forest's node tables and its references.
+
+    The interpreted forest is fitted, compiled and dropped in
+    ``_train_type``; a loaded model never had one.
+    """
 
     label: str
-    classifier: RandomForestClassifier
     compiled: CompiledForest
     references: tuple[Fingerprint, ...]
 
@@ -103,8 +106,9 @@ class ModelSnapshot:
     """One immutable version of the trained classifier bank.
 
     ``models`` maps each label to its :class:`_TypeModel`, whose
-    :class:`~repro.ml.compiled.CompiledForest` was compiled once, when
-    the type was trained (or read from an npz payload).  A successor
+    :class:`~repro.ml.compiled.CompiledForest` is the only form of its
+    forest: compiled once, when the type was trained (the interpreted
+    forest is then dropped), or read from an npz payload.  A successor
     snapshot shares every unchanged ``_TypeModel`` object, so enrolling
     one type compiles one forest.  :attr:`bank`, the stage-1
     :class:`~repro.ml.compiled.CompiledBank`, is concatenated from those
@@ -303,19 +307,20 @@ class DeviceIdentifier:
             x, y = build_binary_training_set(
                 positives, negatives, ratio=self.negative_ratio, rng=rng
             )
-            classifier = RandomForestClassifier(
-                n_estimators=self.n_estimators,
-                max_depth=self.max_depth,
-                random_state=rng,
-            ).fit(x, y)
+            compiled = compile_forest(
+                RandomForestClassifier(
+                    n_estimators=self.n_estimators,
+                    max_depth=self.max_depth,
+                    random_state=rng,
+                ).fit(x, y)
+            )
             pool = registry.fingerprints(label)
             take = min(self.n_references, len(pool))
             chosen = rng.choice(len(pool), size=take, replace=False)
             obs_counter(obs_names.METRIC_TYPES_TRAINED).inc()
             return _TypeModel(
                 label=label,
-                classifier=classifier,
-                compiled=compile_forest(classifier),
+                compiled=compiled,
                 references=tuple(pool[int(i)] for i in chosen),
             )
 

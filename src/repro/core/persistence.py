@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ml.compiled import CompiledForest, forest_from_flat
+from repro.ml.compiled import CompiledForest
 from repro.ml.parallel import derive_entropy
 from repro.obs import counter as obs_counter
 from repro.obs import names as obs_names
@@ -189,13 +189,15 @@ def load_identifier(
     """Rebuild the identifier :func:`save_identifier` wrote to ``path``.
 
     Each type's :class:`~repro.ml.compiled.CompiledForest` is taken
-    straight from the payload, so a load compiles nothing; the
-    hyper-parameters and training entropy come back too.  Raises
-    ``ValueError`` naming ``path`` for anything that is not such a
-    payload (a JSON model from an older version, a bare ``.npy`` array,
-    random bytes), on a version mismatch and, when ``expected_key`` is
-    given, on a stale embedded content hash; the model store turns each
-    into a cache miss.
+    straight from the payload and validated
+    (:meth:`~repro.ml.compiled.CompiledForest.validate`), so a load
+    compiles and rebuilds nothing; the hyper-parameters and training
+    entropy come back too.  Raises ``ValueError`` naming ``path`` for
+    anything that is not such a payload (a JSON model from an older
+    version, a bare ``.npy`` array, random bytes, malformed node
+    tables), on a version mismatch and, when ``expected_key`` is given,
+    on a stale embedded content hash; the model store turns each into a
+    cache miss.
     """
     with open(path, "rb") as handle:
         magic = handle.read(4)
@@ -244,11 +246,7 @@ def _identifier_from_payload(
             classes_=classes,
             max_depth=int(model_meta["max_depth"]),
         )
-        forest = forest_from_flat(
-            compiled,
-            n_estimators=identifier.n_estimators,
-            max_depth=identifier.max_depth,
-        )
+        compiled.validate(identifier.fp_length * NUM_FEATURES)
         references = []
         offset = 0
         rows = payload[prefix + "refs"]
@@ -267,7 +265,6 @@ def _identifier_from_payload(
             )
         models[model_meta["label"]] = _TypeModel(
             label=model_meta["label"],
-            classifier=forest,
             compiled=compiled,
             references=tuple(references),
         )

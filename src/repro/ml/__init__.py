@@ -5,7 +5,7 @@ identification pipeline needs (Random Forest classification [23],
 imbalance-aware sampling [22], stratified cross-validation).
 """
 
-from .compiled import CompiledBank, CompiledForest, compile_forest, forest_from_flat
+from .compiled import CompiledBank, CompiledForest, compile_forest
 from .forest import RandomForestClassifier
 from .metrics import accuracy_score, confusion_matrix, per_class_accuracy
 from .parallel import (
@@ -26,7 +26,6 @@ __all__ = [
     "accuracy_score",
     "build_binary_training_set",
     "compile_forest",
-    "forest_from_flat",
     "confusion_matrix",
     "derive_entropy",
     "label_rng",

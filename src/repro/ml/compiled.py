@@ -5,12 +5,14 @@ Python ``_Node`` objects one tree at a time; at fleet scale (hundreds of
 device types × batches of fingerprints) the per-node Python dispatch
 dominates.  This module *compiles* a fitted forest into flat NumPy node
 tables — feature index, threshold, left/right child, leaf
-class-probabilities — held in a :class:`CompiledForest` (also the npz
-model store's format, reversible with :func:`forest_from_flat`).
-:class:`CompiledBank` concatenates the node tables of every per-type
-:class:`CompiledForest` into one global node table, so stage-1
-classification of a batch is a single depth-bounded traversal for all
-types at once, then a per-forest positive-column accumulation.  It is the only stage-1 inference path;
+class-probabilities — held in a :class:`CompiledForest`.  Training
+compiles each forest once and keeps only the compiled form, which is
+also the npz model store's format, loaded as is after
+:meth:`CompiledForest.validate`.  :class:`CompiledBank` concatenates
+the node tables of every per-type :class:`CompiledForest` into one
+global node table, so stage-1 classification of a batch is a single
+depth-bounded traversal for all types at once, then a per-forest
+positive-column accumulation.  It is the only stage-1 inference path;
 the interpreted forest stays for training and as the test oracle.
 
 Bit-exactness contract
@@ -40,13 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import RandomForestClassifier
-from .tree import DecisionTreeClassifier, _Node
+from .tree import _Node
 
 __all__ = [
     "CompiledForest",
     "CompiledBank",
     "compile_forest",
-    "forest_from_flat",
 ]
 
 #: Node-table value marking a leaf in the ``feature`` column.
@@ -130,8 +131,9 @@ def _flatten_forest(
 class CompiledForest:
     """A fitted forest flattened into node tables (see module docstring).
 
-    Produced by :func:`compile_forest`; also the exchange format the npz
-    model store serializes (every field is a plain array or scalar).
+    Produced by :func:`compile_forest`; the only form a trained model
+    keeps, and the exchange format the npz model store serializes (every
+    field is a plain array or scalar).
     """
 
     feature: np.ndarray
@@ -151,6 +153,50 @@ class CompiledForest:
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    def validate(self, n_features: int) -> None:
+        """Raise ``ValueError`` unless these are well-formed node tables.
+
+        Checks what inference and importance rely on, so that a tampered
+        table fails here rather than mis-routing rows or raising
+        ``IndexError`` at the first batch: integer index arrays and float
+        value arrays of one length; ``proba`` shaped ``(n_nodes,
+        n_classes)``; tree roots ascending from 0; split features in
+        ``[0, n_features)``; children in range and every leaf a self-loop;
+        no root-to-leaf path deeper than ``max_depth``.  The depth check
+        walks every tree level by level from its root, so it also proves
+        each tree acyclic.
+        """
+        indices = (self.feature, self.left, self.right, self.tree_roots)
+        if any(a.dtype.kind not in "iu" for a in indices) or any(
+            a.dtype.kind != "f" for a in (self.threshold, self.proba)
+        ):
+            raise ValueError("node tables have the wrong dtypes")
+        n = self.feature.size
+        if n == 0 or any(a.shape != (n,) for a in (self.feature, self.threshold, self.left, self.right)):
+            raise ValueError("node tables are empty or differ in length")
+        if self.proba.shape != (n, len(self.classes_)):
+            raise ValueError(f"leaf probabilities are not shaped ({n}, {len(self.classes_)})")
+        roots = self.tree_roots
+        if roots.ndim != 1 or not len(roots) or roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n:
+            raise ValueError("tree roots do not ascend from 0 inside the node table")
+        if np.any((self.feature < _LEAF) | (self.feature >= n_features)):
+            raise ValueError(f"split feature outside [0, {n_features})")
+        if np.any((self.left < 0) | (self.left >= n) | (self.right < 0) | (self.right >= n)):
+            raise ValueError("child index outside the node table")
+        leaves = np.flatnonzero(self.feature == _LEAF)
+        if np.any(self.left[leaves] != leaves) or np.any(self.right[leaves] != leaves):
+            raise ValueError("a leaf is not its own child")
+        if not 0 <= self.max_depth < n:
+            raise ValueError(f"max_depth {self.max_depth} outside [0, {n})")
+        frontier = roots[self.feature[roots] != _LEAF]
+        for _ in range(self.max_depth):
+            if not frontier.size:
+                break
+            children = np.concatenate([self.left[frontier], self.right[frontier]])
+            frontier = np.unique(children[self.feature[children] != _LEAF])
+        if frontier.size:
+            raise ValueError(f"a root-to-leaf path is deeper than max_depth {self.max_depth}")
+
 
 def compile_forest(forest: RandomForestClassifier) -> CompiledForest:
     """Compile a fitted forest into a :class:`CompiledForest`."""
@@ -165,58 +211,6 @@ def compile_forest(forest: RandomForestClassifier) -> CompiledForest:
         classes_=np.asarray(forest.classes_),
         max_depth=max_depth,
     )
-
-
-def forest_from_flat(
-    compiled: CompiledForest,
-    *,
-    n_estimators: int | None = None,
-    max_depth: int | None = None,
-) -> RandomForestClassifier:
-    """Rebuild an interpreted forest from its compiled form.
-
-    The rebuilt trees carry the *forest's* class order (leaf vectors were
-    scattered into it at compile time), which leaves the forest-level
-    ``predict_proba`` byte-identical to the original: the scatter only
-    zero-pads non-negative probabilities.
-    """
-    forest = RandomForestClassifier(
-        n_estimators=n_estimators if n_estimators is not None else max(1, compiled.n_trees),
-        max_depth=max_depth,
-    )
-    forest.classes_ = np.asarray(compiled.classes_)
-    trees: list[DecisionTreeClassifier] = []
-    for root in compiled.tree_roots:
-        tree = DecisionTreeClassifier(max_depth=max_depth)
-        tree.classes_ = np.asarray(compiled.classes_)
-        tree._root = _rebuild_node(compiled, int(root))
-        trees.append(tree)
-    forest.trees_ = trees
-    return forest
-
-
-def _rebuild_node(compiled: CompiledForest, index: int) -> _Node:
-    """Rebuild the ``_Node`` subtree rooted at ``index`` (iteratively)."""
-    nodes: dict[int, _Node] = {}
-    stack = [index]
-    order: list[int] = []
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        if compiled.feature[i] != _LEAF:
-            stack.append(int(compiled.left[i]))
-            stack.append(int(compiled.right[i]))
-    for i in reversed(order):
-        if compiled.feature[i] == _LEAF:
-            nodes[i] = _Node(probabilities=compiled.proba[i].copy())
-        else:
-            nodes[i] = _Node(
-                feature=int(compiled.feature[i]),
-                threshold=float(compiled.threshold[i]),
-                left=nodes[int(compiled.left[i])],
-                right=nodes[int(compiled.right[i])],
-            )
-    return nodes[index]
 
 
 class CompiledBank:

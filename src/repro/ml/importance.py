@@ -1,4 +1,4 @@
-"""Gini feature importance for trees and forests.
+"""Split-count feature importance of a compiled forest.
 
 Lets an operator ask *which of the 23 Table-I features (at which packet
 position) the classifier bank actually keys on* — useful both for sanity
@@ -10,42 +10,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forest import RandomForestClassifier
-from .tree import DecisionTreeClassifier, _Node
+from .compiled import CompiledForest
 
-__all__ = ["tree_feature_importance", "forest_feature_importance"]
-
-
-def _walk(node: _Node, counts: np.ndarray) -> None:
-    if node.is_leaf:
-        return
-    counts[node.feature] += 1.0
-    assert node.left is not None and node.right is not None
-    _walk(node.left, counts)
-    _walk(node.right, counts)
+__all__ = ["forest_feature_importance"]
 
 
-def tree_feature_importance(tree: DecisionTreeClassifier, n_features: int) -> np.ndarray:
-    """Split-count importance per feature, normalized to sum to 1.
+def forest_feature_importance(compiled: CompiledForest, n_features: int) -> np.ndarray:
+    """Mean over the trees of each tree's split counts per feature.
 
+    A tree's counts are normalized to sum to 1 (a stump's stay zero).
+    Tree ``t`` owns the nodes from ``tree_roots[t]`` up to the next root,
+    so its counts are a ``bincount`` of its internal nodes' features.
     (Split counts rather than impurity-decrease keep the computation
     independent of retained training data; for shallow fingerprint trees
     the two rank features nearly identically.)
     """
-    if tree._root is None:
-        raise ValueError("tree is not fitted")
-    counts = np.zeros(n_features)
-    _walk(tree._root, counts)
-    total = counts.sum()
-    return counts / total if total > 0 else counts
-
-
-def forest_feature_importance(
-    forest: RandomForestClassifier, n_features: int
-) -> np.ndarray:
-    """Mean per-tree importance across the ensemble."""
-    if not forest.trees_:
-        raise ValueError("forest is not fitted")
-    return np.mean(
-        [tree_feature_importance(tree, n_features) for tree in forest.trees_], axis=0
-    )
+    if not compiled.n_trees:
+        raise ValueError("forest has no trees")
+    bounds = np.append(compiled.tree_roots, compiled.n_nodes)
+    per_tree = np.zeros((compiled.n_trees, n_features))
+    for t in range(compiled.n_trees):
+        features = compiled.feature[bounds[t] : bounds[t + 1]]
+        counts = np.bincount(features[features >= 0], minlength=n_features).astype(np.float64)
+        total = counts.sum()
+        per_tree[t] = counts / total if total > 0 else counts
+    return np.mean(per_tree, axis=0)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import DeviceIdentifier
 from repro.devices import DEVICE_PROFILES, collect_dataset
+from tests.oracles import record_forests
 
 # A compact but representative slice of the catalogue: a few distinct
 # types plus one full sibling group (the TP-Link plugs).
@@ -51,8 +52,21 @@ def _small_registry_unchanged(request):
 
 
 @pytest.fixture(scope="session")
-def small_identifier(small_registry):
-    return DeviceIdentifier(random_state=11).fit(small_registry)
+def _small_training(small_registry):
+    with record_forests() as forests:
+        identifier = DeviceIdentifier(random_state=11).fit(small_registry)
+    return identifier, forests
+
+
+@pytest.fixture(scope="session")
+def small_identifier(_small_training):
+    return _small_training[0]
+
+
+@pytest.fixture(scope="session")
+def small_forests(_small_training):
+    """The forests ``small_identifier`` was trained with (the oracle)."""
+    return _small_training[1]
 
 
 @pytest.fixture()

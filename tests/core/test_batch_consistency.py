@@ -45,9 +45,9 @@ class TestClassifyBatchConsistency:
         for fp, candidates in zip(mixed_batch, batched):
             assert candidates == small_identifier.classify(fp)
 
-    def test_compiled_matches_interpreted(self, small_identifier, mixed_batch):
+    def test_compiled_matches_interpreted(self, small_identifier, small_forests, mixed_batch):
         compiled = small_identifier.classify_batch(mixed_batch)
-        assert compiled == interpreted_candidates(small_identifier, mixed_batch)
+        assert compiled == interpreted_candidates(small_identifier, mixed_batch, small_forests)
 
     def test_candidate_order_is_sorted_labels(self, small_identifier, mixed_batch):
         for candidates in small_identifier.classify_batch(mixed_batch):

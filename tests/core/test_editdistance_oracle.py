@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core import UNKNOWN_DEVICE, DeviceIdentifier, damerau_levenshtein
 from repro.core.editdistance import osa_distances
 from repro.devices import DEVICE_PROFILES, collect_dataset
-from tests.oracles import interpreted_candidates
+from tests.oracles import interpreted_candidates, record_forests
 
 
 def oracle_osa(a, b) -> int:
@@ -203,7 +203,9 @@ class TestPackedKernelMatchesOracle:
 @pytest.fixture(scope="module")
 def lab_identifier():
     corpus = collect_dataset(DEVICE_PROFILES, runs_per_device=20, seed=2017)
-    return corpus, DeviceIdentifier(random_state=5).fit(corpus)
+    with record_forests() as forests:
+        identifier = DeviceIdentifier(random_state=5).fit(corpus)
+    return corpus, identifier, forests
 
 
 def oracle_scores(identifier, fingerprint, candidates):
@@ -220,10 +222,10 @@ def oracle_scores(identifier, fingerprint, candidates):
 
 
 def test_discriminate_matches_oracle_on_lab_corpus(lab_identifier):
-    corpus, identifier = lab_identifier
+    corpus, identifier, forests = lab_identifier
     tolerance = DeviceIdentifier.TIE_TOLERANCE
     probes = [fp for label in corpus.labels for fp in corpus.fingerprints(label)]
-    candidate_lists = interpreted_candidates(identifier, probes)
+    candidate_lists = interpreted_candidates(identifier, probes, forests)
     assert sum(len(c) > 1 for c in candidate_lists) >= 50, (
         "the lab corpus should exercise stage 2 often"
     )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import DeviceIdentifier, DeviceTypeRegistry, ModelStore
-from repro.ml.compiled import CompiledBank, compile_forest
+from repro.ml.compiled import CompiledBank
 from repro.obs import RecordingProvider, metrics_snapshot, names, use_provider
 from repro.securityservice import FingerprintReport, IoTSecurityService, ShardedSecurityService
 
@@ -89,9 +89,7 @@ def test_snapshot_bank_equals_a_from_scratch_bank(small_registry, base):
     identifier.add_type(HELD_OUT, small_registry.fingerprints(HELD_OUT))
     identifier.remove_type(identifier.labels[1])
     snapshot = identifier.snapshot
-    scratch = CompiledBank(
-        [(label, compile_forest(model.classifier)) for label, model in snapshot.models.items()]
-    )
+    scratch = CompiledBank([(label, model.compiled) for label, model in snapshot.models.items()])
     bank = snapshot.bank
     assert bank is snapshot.bank  # assembled once per snapshot
     assert bank.labels == scratch.labels

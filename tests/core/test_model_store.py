@@ -21,8 +21,12 @@ from repro.core import (
     save_identifier,
     warm_start_identifier,
 )
+from repro.core import NUM_FEATURES
 from repro.devices import DEVICE_PROFILES, collect_dataset
 from repro.obs import RecordingProvider, metrics_snapshot, use_provider
+
+#: Every array of a ``CompiledForest``.
+TABLE_FIELDS = ("feature", "threshold", "left", "right", "proba", "tree_roots", "classes_")
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +65,20 @@ class TestNpzRoundTrip:
         path = tmp_path / "bank.npz"
         save_identifier(small_identifier, path)
         restored = load_identifier(path)
+        for label in small_identifier.labels:
+            original = small_identifier.snapshot.models[label].compiled
+            loaded = restored.snapshot.models[label].compiled
+            for field in TABLE_FIELDS:
+                a, b = getattr(original, field), getattr(loaded, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+            assert loaded.max_depth == original.max_depth
         stacked = np.vstack(
             [fp.fixed(small_identifier.fp_length) for fp in held_out[:8]]
         )
-        for label in small_identifier.labels:
-            original = small_identifier.snapshot.models[label].classifier
-            rebuilt = restored.snapshot.models[label].classifier
-            assert np.array_equal(
-                rebuilt.predict_proba(stacked), original.predict_proba(stacked)
-            )
+        assert np.array_equal(
+            restored.snapshot.bank.positive_proba(stacked),
+            small_identifier.snapshot.bank.positive_proba(stacked),
+        )
 
     def test_references_and_params_survive(self, small_identifier, tmp_path):
         path = tmp_path / "bank.npz"
@@ -127,6 +136,87 @@ class TestLoadErrors:
         getattr(self, write)(path)
         with pytest.raises(ValueError, match=str(path)):
             load_identifier(path)
+
+
+def first_internal_node(arrays):
+    return int(np.flatnonzero(arrays["m0_feature"] >= 0)[0])
+
+
+def negative_child(arrays):
+    arrays["m0_left"][first_internal_node(arrays)] = -3
+
+
+def child_past_the_table(arrays):
+    arrays["m0_right"][first_internal_node(arrays)] = len(arrays["m0_feature"]) + 5
+
+
+def feature_past_the_vector(arrays):
+    fp_length = json.loads(str(arrays["meta"][()]))["params"]["fp_length"]
+    arrays["m0_feature"][first_internal_node(arrays)] = fp_length * NUM_FEATURES
+
+
+def short_threshold(arrays):
+    arrays["m0_threshold"] = arrays["m0_threshold"][:-1]
+
+
+def child_loops_to_the_root(arrays):
+    arrays["m0_right"][first_internal_node(arrays)] = 0
+
+
+def leaf_with_a_child(arrays):
+    leaf = int(np.flatnonzero(arrays["m0_feature"] < 0)[0])
+    arrays["m0_left"][leaf] = 0
+
+
+def understated_max_depth(arrays):
+    meta = json.loads(str(arrays["meta"][()]))
+    meta["models"][0]["max_depth"] -= 1
+    arrays["meta"] = np.asarray(json.dumps(meta))
+
+
+class TestMalformedNodeTables:
+    """A tampered node table is a ValueError at load and a store miss,
+    never a silent misroute or an ``IndexError`` at load or at the first
+    identification."""
+
+    KEY = "tampered"
+
+    @staticmethod
+    def tamper(path, edit):
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {name: payload[name].copy() for name in payload.files}
+        edit(arrays)
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            negative_child,
+            child_past_the_table,
+            feature_past_the_vector,
+            short_threshold,
+            child_loops_to_the_root,
+            leaf_with_a_child,
+            understated_max_depth,
+        ],
+    )
+    def test_rejected_at_load_and_a_store_miss(self, edit, small_identifier, tmp_path):
+        store = ModelStore(tmp_path / "store")
+        path = store.save(small_identifier, self.KEY)
+        self.tamper(path, edit)
+        with pytest.raises(ValueError, match=str(path)):
+            load_identifier(path, expected_key=self.KEY)
+        with use_provider(RecordingProvider()) as provider:
+            assert store.load(self.KEY) is None
+        samples = metrics_snapshot(provider.metrics)
+        assert samples["model_store_misses_total"]["samples"][0]["value"] == 1
+
+    def test_untampered_payload_is_a_hit(self, small_identifier, tmp_path):
+        store = ModelStore(tmp_path / "store")
+        path = store.save(small_identifier, self.KEY)
+        self.tamper(path, lambda arrays: None)
+        assert store.load(self.KEY).labels == small_identifier.labels
 
 
 class TestContentKey:

@@ -107,12 +107,12 @@ class TestIdentifierTraining:
     def test_add_type_without_relearning(self):
         registry = synthetic_registry()
         identifier = DeviceIdentifier(random_state=0).fit(registry)
-        before = {label: identifier.snapshot.models[label].classifier for label in identifier.labels}
+        before = {label: identifier.snapshot.models[label].compiled for label in identifier.labels}
         identifier.add_type("type9", [synthetic_fp(9) for _ in range(8)])
         assert "type9" in identifier.labels
         # Existing classifiers are untouched objects (no retraining).
-        for label, classifier in before.items():
-            assert identifier.snapshot.models[label].classifier is classifier
+        for label, compiled in before.items():
+            assert identifier.snapshot.models[label].compiled is compiled
         assert identifier.identify(synthetic_fp(9)).label == "type9"
 
     def test_add_type_refuses_a_known_label_and_changes_nothing(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import NUM_FEATURES, DeviceIdentifier, Fingerprint, fixed_vector
 from repro.devices import DEVICE_PROFILES, collect_dataset
-from tests.oracles import interpreted_candidates
+from tests.oracles import interpreted_candidates, record_forests
 
 SHARED_NAN = float("nan")
 
@@ -106,9 +106,10 @@ class TestFixedMatchesFixedVector:
 @pytest.fixture(scope="module")
 def lab():
     corpus = collect_dataset(DEVICE_PROFILES, runs_per_device=10, seed=2017)
-    identifier = DeviceIdentifier(random_state=5).fit(corpus)
+    with record_forests() as forests:
+        identifier = DeviceIdentifier(random_state=5).fit(corpus)
     probes = [fp for label in corpus.labels for fp in corpus.fingerprints(label)]
-    return identifier, probes, interpreted_candidates(identifier, probes)
+    return identifier, probes, interpreted_candidates(identifier, probes, forests)
 
 
 def test_classify_batch_matches_per_forest_loop(lab):

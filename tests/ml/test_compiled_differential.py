@@ -5,19 +5,21 @@ promises columns *byte-identical* to each forest's interpreted
 ``predict_proba`` positive column: not ``allclose``, bitwise equality via
 ``np.array_equal``, for any fitted forest and any batch.  The sweeps over
 tree counts, depths, NaN inputs and batch shapes run a one-forest bank
-against its forest.  Every forest is also round-tripped through
-``compile_forest``/``forest_from_flat`` (the npz model store's path),
-which must reproduce the full ``predict_proba``; the multiclass and
-degenerate single-class layouts, which the bank does not serve, are
-checked that way.  A compiled-path regression fails loudly and
-minimally.
+against its forest.  Every ``compile_forest`` output must also pass
+``CompiledForest.validate`` (what a load runs) and, read with
+``tests.oracles.walk_node_table``, a plain per-row walk of the node
+table, reproduce the forest's full ``predict_proba``; the
+multiclass and degenerate single-class layouts, which the bank does not
+serve, are checked that way.  A compiled-path regression fails loudly
+and minimally.
 """
 
 import numpy as np
 import pytest
 
 from repro.ml import RandomForestClassifier
-from repro.ml.compiled import CompiledBank, compile_forest, forest_from_flat
+from repro.ml.compiled import CompiledBank, compile_forest
+from tests.oracles import walk_node_table
 
 
 def make_corpus(seed, n=120, d=30, classes=2, integer=True):
@@ -31,16 +33,17 @@ def make_corpus(seed, n=120, d=30, classes=2, integer=True):
     return x, y
 
 
-def assert_round_trip(forest, x):
-    """``forest_from_flat(compile_forest(f))`` predicts exactly as ``f``."""
-    rebuilt = forest_from_flat(compile_forest(forest))
+def assert_table_walk(forest, x):
+    """``compile_forest(f)``'s node table passes the load-time validation,
+    and walking it predicts exactly as ``f``."""
+    compiled = compile_forest(forest)
+    compiled.validate(x.shape[1])
     reference = forest.predict_proba(x)
-    fast = rebuilt.predict_proba(x)
-    assert fast.dtype == reference.dtype
-    assert np.array_equal(fast, reference, equal_nan=True), (
+    walked = walk_node_table(compiled, x)
+    assert walked.dtype == reference.dtype
+    assert np.array_equal(walked, reference, equal_nan=True), (
         "compiled forest diverged from the interpreted forest"
     )
-    assert np.array_equal(rebuilt.predict(x), forest.predict(x))
 
 
 def assert_bit_identical(forest, x):
@@ -53,7 +56,7 @@ def assert_bit_identical(forest, x):
     assert np.array_equal(fast[:, 0], forest.predict_proba(x)[:, positive]), (
         "compiled bank diverged from the interpreted forest"
     )
-    assert_round_trip(forest, x)
+    assert_table_walk(forest, x)
 
 
 class TestCompiledForestDifferential:
@@ -86,15 +89,14 @@ class TestCompiledForestDifferential:
     def test_multiclass(self, classes):
         x, y = make_corpus(9, classes=classes)
         forest = RandomForestClassifier(n_estimators=8, random_state=9).fit(x, y)
-        assert_round_trip(forest, x)
+        assert_table_walk(forest, x)
 
     def test_degenerate_single_class_forest(self):
         x, _ = make_corpus(11, n=40)
         y = np.zeros(40, dtype=bool)  # only the negative class exists
         forest = RandomForestClassifier(n_estimators=5, random_state=11).fit(x, y)
-        assert_round_trip(forest, x)
-        rebuilt = forest_from_flat(compile_forest(forest))
-        assert np.array_equal(rebuilt.predict_proba(x), np.ones((40, 1)))
+        assert_table_walk(forest, x)
+        assert np.array_equal(walk_node_table(compile_forest(forest), x), np.ones((40, 1)))
         assert CompiledBank([("negative", compile_forest(forest))]).positive_proba(x).shape == (40, 0)
 
     def test_boolean_classes_as_trained_by_identifier(self):
@@ -116,32 +118,12 @@ class TestCompiledForestDifferential:
         x, y = make_corpus(19)
         forest = RandomForestClassifier(n_estimators=4, random_state=19).fit(x, y)
         assert CompiledBank([("only", compile_forest(forest))]).positive_proba(x[:0]).shape == (0, 1)
-        assert forest_from_flat(compile_forest(forest)).predict_proba(x[:0]).shape == (0, 2)
+        assert_table_walk(forest, x[:0])
 
     def test_single_row_batch(self):
         x, y = make_corpus(29)
         forest = RandomForestClassifier(n_estimators=4, random_state=29).fit(x, y)
         assert_bit_identical(forest, x[:1])
-
-
-class TestRoundTripDecompile:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_forest_from_flat_is_bit_identical(self, seed):
-        x, y = make_corpus(seed + 40)
-        forest = RandomForestClassifier(n_estimators=6, random_state=seed).fit(x, y)
-        rebuilt = forest_from_flat(compile_forest(forest))
-        assert np.array_equal(rebuilt.predict_proba(x), forest.predict_proba(x))
-        assert np.array_equal(rebuilt.classes_, forest.classes_)
-        assert len(rebuilt.trees_) == len(forest.trees_)
-
-    def test_recompile_round_trip(self):
-        x, y = make_corpus(47)
-        forest = RandomForestClassifier(n_estimators=5, random_state=3).fit(x, y)
-        once = compile_forest(forest)
-        twice = compile_forest(forest_from_flat(once))
-        for field in ("feature", "threshold", "left", "right", "proba", "tree_roots", "classes_"):
-            assert np.array_equal(getattr(once, field), getattr(twice, field)), field
-        assert once.max_depth == twice.max_depth
 
 
 class TestCompiledBankDifferential:

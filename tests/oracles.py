@@ -1,9 +1,19 @@
 """Plain-way oracles the fast paths are checked against.
 
+* Fitted forests: a trained model keeps only each type's
+  :class:`~repro.ml.compiled.CompiledForest`.  :func:`record_forests`
+  wraps the identifier's ``compile_forest`` seam and keeps the
+  ``RandomForestClassifier`` training fitted next to what it compiled
+  to, so an oracle reads the forest itself, never one rebuilt from the
+  arrays under test.
 * Interpreted stage 1: ``DeviceIdentifier`` classifies only through its
   :class:`~repro.ml.compiled.CompiledBank`; :func:`interpreted_candidates`
-  recomputes the candidate lists from each type's own
-  ``RandomForestClassifier.predict_proba`` over ``fixed_vector`` rows.
+  recomputes the candidate lists from each type's recorded forest's
+  ``predict_proba`` over ``fixed_vector`` rows.
+* Node-table walk: :func:`walk_node_table` follows one row down one
+  compiled tree at a time, the plain reading of the flat layout.
+* Tree-walk importance: :func:`tree_walk_importance` counts splits on the
+  interpreted trees' ``_Node`` objects.
 * Layered frame facts: ``decode`` reads the Table I facts straight off
   the wire bytes (:mod:`repro.packets.facts`);
   :func:`layered_decode` derives them from the codec objects instead,
@@ -13,9 +23,13 @@
   :func:`scan_split_search` sorts and scans one candidate at a time.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 
 from repro.core import fixed_vector
+from repro.ml.compiled import compile_forest
 from repro.packets import dhcp as dhcp_mod
 from repro.packets import dns as dns_mod
 from repro.packets import http as http_mod
@@ -51,12 +65,41 @@ from repro.packets.tcp import TCPSegment
 from repro.packets.udp import UDPDatagram
 
 
-def interpreted_candidates(identifier, fingerprints):
-    """Stage-1 candidate lists from one forest at a time, in label order."""
+class FittedForests:
+    """Each forest training fitted, looked up by the ``CompiledForest`` it
+    compiled to.  Both objects stay alive here, so an ``id`` is never
+    reused for another table."""
+
+    def __init__(self):
+        self._pairs = {}
+
+    def compile(self, forest):
+        compiled = compile_forest(forest)
+        self._pairs[id(compiled)] = (compiled, forest)
+        return compiled
+
+    def __getitem__(self, compiled):
+        recorded, forest = self._pairs[id(compiled)]
+        assert recorded is compiled
+        return forest
+
+
+@contextmanager
+def record_forests():
+    """Record every forest ``DeviceIdentifier`` fits inside the block
+    (``fit`` and ``add_type`` alike)."""
+    forests = FittedForests()
+    with mock.patch("repro.core.identifier.compile_forest", forests.compile):
+        yield forests
+
+
+def interpreted_candidates(identifier, fingerprints, forests):
+    """Stage-1 candidate lists from one recorded forest at a time, in
+    label order."""
     stacked = np.vstack([fixed_vector(fp.rows, identifier.fp_length) for fp in fingerprints])
     candidates = [[] for _ in fingerprints]
     for label in identifier.labels:
-        forest = identifier.snapshot.models[label].classifier
+        forest = forests[identifier.snapshot.models[label].compiled]
         classes = list(forest.classes_)
         if True not in classes:
             continue
@@ -64,6 +107,44 @@ def interpreted_candidates(identifier, fingerprints):
         for row in np.flatnonzero(positive >= identifier.accept_threshold):
             candidates[int(row)].append(label)
     return candidates
+
+
+def walk_node_table(compiled, x):
+    """``predict_proba`` of a compiled forest, one row down one tree at a time.
+
+    From each root, go left while ``x[feature] <= threshold`` holds and
+    right otherwise, until a leaf (``feature == -1``); add that leaf's
+    ``proba`` row in tree order and divide once, as the interpreted
+    forest does.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros((len(x), len(compiled.classes_)))
+    for i, row in enumerate(x):
+        for root in compiled.tree_roots:
+            node = int(root)
+            while compiled.feature[node] >= 0:
+                went_left = row[compiled.feature[node]] <= compiled.threshold[node]
+                node = int(compiled.left[node] if went_left else compiled.right[node])
+            out[i] += compiled.proba[node]
+        out[i] /= compiled.n_trees
+    return out
+
+
+def tree_walk_importance(forest, n_features):
+    """Split-count importance off the interpreted trees' ``_Node`` objects:
+    each tree's counts normalized to sum to 1, then the mean over trees."""
+    per_tree = []
+    for tree in forest.trees_:
+        counts = np.zeros(n_features)
+        stack = [tree._root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                counts[node.feature] += 1.0
+                stack += [node.left, node.right]
+        total = counts.sum()
+        per_tree.append(counts / total if total > 0 else counts)
+    return np.mean(per_tree, axis=0)
 
 
 def _best_column_split(x_sorted_col, y_sorted, n_classes):
